@@ -77,7 +77,9 @@ pub struct DbConfig {
     pub flush_buf_size: usize,
     /// Number of in-flight flush buffers before the flusher must recycle.
     pub flush_buf_count: usize,
-    /// Prefetch window for range scans (paper: several MB).
+    /// Cap on a range scan's readahead window, i.e. the largest READ a scan
+    /// issues (paper: several MB). Each table iterator starts at 4 KiB after
+    /// a seek and doubles per sequential refill up to this cap.
     pub scan_prefetch: usize,
     /// RPC reply/argument buffer size (must hold compaction replies, whose
     /// dominant part is the per-record index of each output table).

@@ -1400,7 +1400,7 @@ impl DbReader {
     }
 
     /// Range scan from `start` (inclusive) at the current horizon, with
-    /// chunked prefetching (Sec. VI).
+    /// doubling per-table readahead up to `scan_prefetch` (Sec. VI).
     pub fn scan(&mut self, start: &[u8]) -> Result<DbScan> {
         let seq = self.shared.read_horizon();
         let (mems, version) = self.shared.pin();

@@ -271,8 +271,8 @@ pub fn table_get(
     }
 }
 
-/// Build an owning iterator over one table handle with the given prefetch
-/// window. Scans only *peek* at the extent pool (a resident image is free
+/// Build an owning iterator over one table handle whose readahead window
+/// grows up to `prefetch` bytes. Scans only *peek* at the extent pool (a resident image is free
 /// to use) — they never admit, bump frequencies, or touch the block pool,
 /// so sequential sweeps cannot displace the point-read working set.
 pub fn table_iter(

@@ -4,8 +4,10 @@
 //! *level* (a lazy concatenation over that level's disjoint tables), merges
 //! them, and applies snapshot visibility: for each user key, the newest
 //! version at or below the snapshot horizon is surfaced, tombstones hide the
-//! key. Table sub-iterators prefetch multi-MB chunks so sequential scans pay
-//! one RDMA round trip per chunk instead of per record.
+//! key. Table sub-iterators read ahead with a window that starts at 4 KiB
+//! after each seek and doubles on every refill up to `DbConfig::scan_prefetch`:
+//! a short scan reads kilobytes, a long one pays one RDMA round trip per
+//! multi-MB chunk instead of per record.
 
 use std::sync::Arc;
 
@@ -191,13 +193,9 @@ impl DbScan {
 
     fn step(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         while self.merged.valid() {
-            let (user, seq, vt) = match key::split(self.merged.key()) {
-                Some(parts) => parts,
-                None => {
-                    self.merged.next().map_err(|e| DbError::Sst(e.to_string()))?;
-                    continue;
-                }
-            };
+            // An undecodable key means corrupt table bytes: report, never skip.
+            let (user, seq, vt) = key::split(self.merged.key())
+                .ok_or_else(|| DbError::Sst("scan: undecodable internal key".into()))?;
             // Past the bound: the merged stream is key-ordered, so stop.
             if !self.end.is_empty() && user >= self.end.as_slice() {
                 return Ok(None);
@@ -238,5 +236,40 @@ impl Iterator for DbScan {
             self.telemetry.record_op(dlsm_telemetry::OpClass::ScanNext, t0.elapsed());
         }
         item
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlsm_sstable::iter::VecIter;
+
+    #[test]
+    fn undecodable_key_surfaces_as_an_error() {
+        // A trailer whose type byte is neither Value nor Deletion, as a
+        // bit flip in remote table bytes would produce.
+        let mut bad = InternalKey::new(b"b", 5, ValueType::Value).into_bytes();
+        let type_byte = bad.len() - 8;
+        bad[type_byte] = 0x7F;
+        let entries = vec![
+            (InternalKey::new(b"a", 5, ValueType::Value).into_bytes(), b"va".to_vec()),
+            (bad, b"vb".to_vec()),
+            (InternalKey::new(b"c", 5, ValueType::Value).into_bytes(), b"vc".to_vec()),
+        ];
+        let children: Vec<Box<dyn ForwardIter>> = vec![Box::new(VecIter::new(entries))];
+        let mut merged = MergingIter::new(children);
+        merged.seek_to_first().unwrap();
+        let mut scan = DbScan {
+            merged,
+            snapshot: 10,
+            last_user: Vec::new(),
+            have_last: false,
+            end: Vec::new(),
+            telemetry: Arc::default(),
+            _version: Arc::new(Version::empty(2)),
+            _mems: Vec::new(),
+        };
+        assert_eq!(scan.next().unwrap().unwrap(), (b"a".to_vec(), b"va".to_vec()));
+        assert!(matches!(scan.next(), Some(Err(DbError::Sst(_)))));
     }
 }

@@ -1,15 +1,20 @@
 //! Scan API coverage: bounded ranges, empty databases, cross-source merges,
-//! multi_get across formats and data paths.
+//! multi_get across formats and data paths, and the READ bytes a scan costs.
 
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use dlsm::{ComputeContext, DataPath, Db, DbConfig, MemNodeHandle};
 use dlsm_memnode::{MemServer, MemServerConfig, TableFormat};
-use rdma_sim::{Fabric, NetworkProfile};
+use rdma_sim::{Fabric, FaultHook, NetworkProfile, OpContext, Verb};
 
 fn open(cfg: DbConfig) -> (MemServer, Db) {
-    let fabric = Fabric::new(NetworkProfile::instant());
+    open_on(&Fabric::new(NetworkProfile::instant()), cfg)
+}
+
+fn open_on(fabric: &Arc<Fabric>, cfg: DbConfig) -> (MemServer, Db) {
     let server = MemServer::start(
-        &fabric,
+        fabric,
         MemServerConfig {
             region_size: 128 << 20,
             flush_zone: 64 << 20,
@@ -17,7 +22,7 @@ fn open(cfg: DbConfig) -> (MemServer, Db) {
             dispatchers: 1,
         },
     );
-    let ctx = ComputeContext::new(&fabric);
+    let ctx = ComputeContext::new(fabric);
     let mem = MemNodeHandle::from_server(&server);
     let db = Db::open(ctx, mem, cfg).unwrap();
     (server, db)
@@ -134,6 +139,81 @@ fn snapshot_scan_is_bounded_and_frozen() {
     let live: Vec<(Vec<u8>, Vec<u8>)> =
         r.scan(&pad(100)).unwrap().map(|i| i.unwrap()).collect();
     assert!(live.iter().all(|(_, v)| v == b"new"));
+    db.shutdown();
+    server.shutdown();
+}
+
+/// Logs the payload size of every fabric READ.
+#[derive(Default)]
+struct ReadSizes(Mutex<Vec<usize>>);
+
+impl FaultHook for ReadSizes {
+    fn delay(&self, ctx: &OpContext) -> Duration {
+        if ctx.verb == Verb::Read {
+            self.0.lock().unwrap().push(ctx.bytes);
+        }
+        Duration::ZERO
+    }
+}
+
+#[test]
+fn short_scans_read_kilobytes_and_long_scans_reach_the_prefetch_cap() {
+    const CAP: usize = 64 << 10;
+    let fabric = Fabric::new(NetworkProfile::instant());
+    let cfg = DbConfig {
+        sstable_size: 1 << 20,
+        l1_max_bytes: 8 << 20,
+        l0_compaction_trigger: 8,
+        scan_prefetch: CAP,
+        ..DbConfig::small()
+    };
+    assert!(!cfg.cache.enabled() && cfg.local_l0_cache_bytes == 0, "cache must be off");
+    let (server, db) = open_on(&fabric, cfg);
+    let value = [b'v'; 100];
+    // Every key once, compacted into L1; then small flushes of overwrites,
+    // one L0 table each, until at least three overlapping L0 tables stand
+    // (a flush that trips the L0 trigger empties L0 and the loop refills it).
+    for i in 0..16_000u64 {
+        db.put(&pad(i * 7919 % 16_000), &value).unwrap();
+    }
+    db.force_flush().unwrap();
+    db.wait_until_quiescent();
+    let mut round = 0u64;
+    while db.level_shape()[0] < 3 {
+        for i in 0..150u64 {
+            db.put(&pad((round * 150 + i) * 7919 % 16_000), &value).unwrap();
+        }
+        db.force_flush().unwrap();
+        db.wait_until_quiescent();
+        round += 1;
+    }
+    let shape = db.level_shape();
+    assert!(shape[1] >= 2, "want several L1 tables, got {shape:?}");
+
+    let mut r = db.reader();
+    let before = fabric.stats().snapshot();
+    let rows = r.scan_range(&pad(8_000), &pad(8_032)).unwrap().count();
+    let read = fabric.stats().snapshot().delta(&before);
+    assert_eq!(rows, 32);
+    assert!(
+        read.bytes(Verb::Read) <= 64 << 10,
+        "a 32-entry scan read {} B in {} READs",
+        read.bytes(Verb::Read),
+        read.ops(Verb::Read)
+    );
+
+    // A full scan still ramps up to READs of exactly the cap.
+    let sizes = Arc::new(ReadSizes::default());
+    fabric.set_fault_hook(Some(sizes.clone()));
+    assert_eq!(r.scan(b"").unwrap().count(), 16_000);
+    fabric.set_fault_hook(None);
+    let sizes = sizes.0.lock().unwrap();
+    assert!(sizes.iter().all(|&s| s <= CAP), "a READ exceeded the cap: {sizes:?}");
+    // Once warm, cap-sized READs carry most of the bytes.
+    let total: usize = sizes.iter().sum();
+    let at_cap = sizes.iter().filter(|&&s| s == CAP).sum::<usize>();
+    assert!(at_cap * 2 > total, "only {at_cap} of {total} B moved in cap-sized READs: {sizes:?}");
+    drop(sizes);
     db.shutdown();
     server.shutdown();
 }

@@ -34,7 +34,7 @@ use crate::byte_addr::{TableGet, TableSink};
 use crate::coding::{get_len_prefixed, get_u32, get_u64, get_varint, put_len_prefixed, put_u32, put_u64, put_varint};
 use crate::iter::ForwardIter;
 use crate::key::{self, compare_internal, InternalKey, SeqNo, ValueType};
-use crate::source::DataSource;
+use crate::source::{read_into, DataSource, Readahead};
 use crate::{Result, SstError};
 
 const MAGIC: u64 = 0xD15A_66B1_0C4B_1E55;
@@ -403,9 +403,10 @@ impl<S: DataSource> BlockTableReader<S> {
         }
     }
 
-    /// Iterator with block prefetching: each remote read fetches up to
-    /// `prefetch_bytes` of consecutive blocks. The iterator owns a clone of
-    /// the source and `Arc`s of the cached metadata.
+    /// Iterator with block readahead: each remote read fetches consecutive
+    /// blocks up to a window that starts at 4 KiB after a seek and doubles
+    /// per refill up to `prefetch_bytes` (always at least one block). The
+    /// iterator owns a clone of the source and `Arc`s of the cached metadata.
     pub fn iter(&self, prefetch_bytes: usize) -> BlockTableIter<S>
     where
         S: Clone,
@@ -421,7 +422,7 @@ impl<S: DataSource> BlockTableReader<S> {
             entries_left: 0,
             key_range: 0..0,
             val_range: 0..0,
-            prefetch: prefetch_bytes.max(1),
+            readahead: Readahead::new(prefetch_bytes),
         }
     }
 }
@@ -447,7 +448,7 @@ impl BlockMetaCache {
     }
 }
 
-/// Block-prefetching iterator over a block-based table (owns its metadata
+/// Block-readahead iterator over a block-based table (owns its metadata
 /// handles and data source).
 pub struct BlockTableIter<S: DataSource> {
     index: Arc<Vec<BlockHandleOwned>>,
@@ -462,7 +463,7 @@ pub struct BlockTableIter<S: DataSource> {
     entries_left: u32,
     key_range: std::ops::Range<usize>,
     val_range: std::ops::Range<usize>,
-    prefetch: usize,
+    readahead: Readahead,
 }
 
 impl<S: DataSource> BlockTableIter<S> {
@@ -478,20 +479,20 @@ impl<S: DataSource> BlockTableIter<S> {
     fn fetch_block(&mut self, i: usize) -> Result<usize> {
         let in_buf = i >= self.buf_first_block && i < self.buf_first_block + self.buf_block_count;
         if !in_buf {
-            // Prefetch consecutive blocks up to the window size.
+            // Read consecutive blocks up to the readahead window.
             let start_off = self.index()[i].offset;
+            let window = self.readahead.next_len(self.index()[i].len as usize);
             let mut end = i;
             let mut total = 0usize;
             while end < self.index().len() {
                 let l = self.index()[end].len as usize;
-                if total > 0 && total + l > self.prefetch {
+                if total + l > window {
                     break;
                 }
                 total += l;
                 end += 1;
             }
-            self.buf.resize(total, 0);
-            self.source.read(start_off, &mut self.buf)?;
+            read_into(&self.source, start_off, total, &mut self.buf)?;
             self.buf_first_block = i;
             self.buf_block_count = end - i;
         }
@@ -562,6 +563,7 @@ impl<S: DataSource> ForwardIter for BlockTableIter<S> {
     }
 
     fn seek(&mut self, ikey: &[u8]) -> Result<()> {
+        self.readahead.reset();
         let bi = self.block_for(ikey);
         if bi >= self.index().len() {
             self.block_idx = usize::MAX;
@@ -576,6 +578,7 @@ impl<S: DataSource> ForwardIter for BlockTableIter<S> {
     }
 
     fn seek_to_first(&mut self) -> Result<()> {
+        self.readahead.reset();
         self.block_idx = usize::MAX;
         self.cursor = 0;
         self.entries_left = 0;

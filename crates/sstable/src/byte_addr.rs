@@ -13,7 +13,9 @@
 //!
 //! A point read probes the bloom filter, binary-searches the index, and
 //! issues **one** RDMA read of exactly one record — no block-sized read
-//! amplification. A scan prefetches multi-MB chunks sequentially.
+//! amplification. A scan reads ahead sequentially with a window that starts
+//! at a few KiB after each seek and doubles on every refill up to the scan
+//! prefetch cap, so short scans read kilobytes and long ones MB chunks.
 //! Building a table serializes records straight into the output sink with
 //! no intermediate block buffer (this is the write-side win of
 //! byte-addressability: one memory copy fewer than the block format).
@@ -25,7 +27,7 @@ use crate::bloom::BloomFilter;
 use crate::coding::{get_len_prefixed, get_u32, get_u64, get_varint, put_len_prefixed, put_u32, put_u64, put_varint};
 use crate::iter::ForwardIter;
 use crate::key::{self, compare_internal, InternalKey, SeqNo, ValueType};
-use crate::source::DataSource;
+use crate::source::{read_into, DataSource, Readahead};
 use crate::{Result, SstError};
 
 /// Where table bytes are appended during building.
@@ -389,29 +391,20 @@ impl<S: DataSource> ByteAddrReader<S> {
         }
     }
 
-    /// Sequential iterator prefetching `prefetch_bytes` per read (the paper
-    /// uses multi-MB chunks for range queries, Sec. VI). The iterator owns a
-    /// clone of the source and an `Arc` of the metadata, so it outlives the
-    /// reader — database scans hold many such iterators at once.
+    /// Sequential iterator whose readahead window starts at 4 KiB after a
+    /// seek and doubles per refill up to `prefetch_bytes`. The iterator owns a clone of the source and
+    /// an `Arc` of the metadata, so it outlives the reader — database scans
+    /// hold many such iterators at once.
     pub fn iter(&self, prefetch_bytes: usize) -> ByteAddrIter<S>
     where
         S: Clone,
     {
-        ByteAddrIter {
-            meta: Arc::clone(&self.meta),
-            source: self.source.clone(),
-            idx: usize::MAX,
-            buf: Vec::new(),
-            buf_start: 0,
-            key_range: 0..0,
-            val_range: 0..0,
-            prefetch: prefetch_bytes.max(1),
-        }
+        ByteAddrIter::from_parts(Arc::clone(&self.meta), self.source.clone(), prefetch_bytes)
     }
 }
 
-/// Chunk-prefetching iterator over a byte-addressable table (owns its
-/// metadata handle and data source).
+/// Readahead iterator over a byte-addressable table (owns its metadata
+/// handle and data source).
 pub struct ByteAddrIter<S: DataSource> {
     meta: Arc<TableMeta>,
     source: S,
@@ -421,11 +414,12 @@ pub struct ByteAddrIter<S: DataSource> {
     buf_start: u64,
     key_range: std::ops::Range<usize>,
     val_range: std::ops::Range<usize>,
-    prefetch: usize,
+    readahead: Readahead,
 }
 
 impl<S: DataSource> ByteAddrIter<S> {
-    /// Iterate a table directly from its parts.
+    /// Iterate a table directly from its parts, reading ahead at most
+    /// `prefetch_bytes` per refill.
     pub fn from_parts(meta: Arc<TableMeta>, source: S, prefetch_bytes: usize) -> ByteAddrIter<S> {
         ByteAddrIter {
             meta,
@@ -435,7 +429,7 @@ impl<S: DataSource> ByteAddrIter<S> {
             buf_start: 0,
             key_range: 0..0,
             val_range: 0..0,
-            prefetch: prefetch_bytes.max(1),
+            readahead: Readahead::new(prefetch_bytes),
         }
     }
 
@@ -443,17 +437,16 @@ impl<S: DataSource> ByteAddrIter<S> {
         &self.meta
     }
 
-    /// Load the chunk containing record `i` (and as many following bytes as
-    /// the prefetch window allows), then parse record `i`.
+    /// Load the chunk starting at record `i` (and as many following bytes as
+    /// the readahead window allows), then parse record `i`.
     fn load_at(&mut self, i: usize) -> Result<()> {
         let (off, len) = self.meta().index.record(i);
         let in_buf = off >= self.buf_start
             && off + len as u64 <= self.buf_start + self.buf.len() as u64
             && !self.buf.is_empty();
         if !in_buf {
-            let want = (self.prefetch.max(len) as u64).min(self.meta.data_len - off) as usize;
-            self.buf.resize(want, 0);
-            self.source.read(off, &mut self.buf)?;
+            let want = (self.readahead.next_len(len) as u64).min(self.meta.data_len - off) as usize;
+            read_into(&self.source, off, want, &mut self.buf)?;
             self.buf_start = off;
         }
         let rel = (off - self.buf_start) as usize;
@@ -503,6 +496,7 @@ impl<S: DataSource> ForwardIter for ByteAddrIter<S> {
     }
 
     fn seek(&mut self, ikey: &[u8]) -> Result<()> {
+        self.readahead.reset();
         let i = self.meta().index.seek_ge(ikey);
         if i >= self.meta().index.len() {
             self.set_invalid();
@@ -512,6 +506,7 @@ impl<S: DataSource> ForwardIter for ByteAddrIter<S> {
     }
 
     fn seek_to_first(&mut self) -> Result<()> {
+        self.readahead.reset();
         if self.meta().index.is_empty() {
             self.set_invalid();
             return Ok(());

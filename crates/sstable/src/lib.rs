@@ -10,7 +10,8 @@
 //!   no blocks; sorted raw key-value records in remote memory, with the
 //!   per-record index `(key, offset, len)` and bloom filter kept on the
 //!   compute node, so a point read fetches exactly one record with one RDMA
-//!   read and a scan prefetches MB-sized chunks.
+//!   read, and a scan reads ahead with a window that doubles from 4 KiB per
+//!   refill up to MB-sized chunks.
 //! * [`block`] — the conventional **block-based** format (RocksDB-style)
 //!   used by the RocksDB-RDMA baselines and the dLSM-Block ablation: data
 //!   blocks of a configured size, an index block, a bloom filter and a

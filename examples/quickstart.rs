@@ -50,7 +50,8 @@ fn main() {
     assert_eq!(reader.get(b"user:1001").unwrap(), Some(b"alice-v2".to_vec()));
     println!("snapshot isolation OK");
 
-    // 7. Range scans stream in key order with multi-MB prefetching.
+    // 7. Range scans stream in key order; each table's readahead starts at
+    //    4 KiB and doubles per refill up to multi-MB chunks.
     for item in reader.scan(b"user:").unwrap() {
         let (k, v) = item.unwrap();
         println!("  {} = {}", String::from_utf8_lossy(&k), String::from_utf8_lossy(&v));
