@@ -188,7 +188,6 @@ pub fn build_rocksdb_rdma(deps: &EngineDeps, base: DbConfig, block_size: u32) ->
         serialized_writes: true,
         // Baselines run without the dLSM compute-side read cache.
         cache: dlsm::CacheConfig::default(),
-        local_l0_cache_bytes: 0,
         ..base
     };
     let name = format!("RocksDB-RDMA ({} KB)", block_size >> 10);
@@ -206,7 +205,6 @@ pub fn build_memory_rocksdb(deps: &EngineDeps, base: DbConfig) -> Result<DlsmEng
         serialized_writes: true,
         // Baselines run without the dLSM compute-side read cache.
         cache: dlsm::CacheConfig::default(),
-        local_l0_cache_bytes: 0,
         ..base
     };
     open(deps, cfg, 1, "Memory-RocksDB-RDMA")
@@ -223,7 +221,6 @@ pub fn build_nova_lsm(deps: &EngineDeps, base: DbConfig, subranges: usize) -> Re
         serialized_writes: false,
         // Baselines run without the dLSM compute-side read cache.
         cache: dlsm::CacheConfig::default(),
-        local_l0_cache_bytes: 0,
         l0_stop_writes_trigger: base
             .l0_stop_writes_trigger
             .map(|t| shard_trigger(t, subranges)),

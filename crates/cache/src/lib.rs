@@ -8,10 +8,9 @@
 //! * **Block pool** — SSTable data blocks (or single byte-addressable
 //!   records) keyed by `(table id, offset)`. A hit turns a one-RTT read
 //!   into a zero-RTT read.
-//! * **Hot-extent pool** — whole byte-addressable table images keyed by
-//!   table id, generalizing the old `local_l0_cache_bytes` flush-time
-//!   mirror: images are admitted at flush time *and* promoted on demand
-//!   once a remote table proves hot (ghost-frequency admission).
+//! * **Hot-extent pool** — whole table images keyed by table id: images
+//!   are admitted at flush time *and* promoted on demand once a remote
+//!   table proves hot (ghost-frequency admission).
 //! * **S3-FIFO admission/eviction** — per shard: a small probationary FIFO,
 //!   a main FIFO, a ghost list of recently evicted keys, and 2-bit
 //!   frequency counters. One-touch scan traffic dies in the small queue;

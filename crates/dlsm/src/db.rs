@@ -19,8 +19,7 @@ use crate::context::{ComputeContext, MemNodeHandle};
 use crate::flush::{flush_memtable, FlushTransport};
 use crate::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
 use crate::memtable::{MemGet, MemTable};
-use crate::remote::{table_get, ReadChannel};
-use dlsm_sstable::source::DataSource as _;
+use crate::remote::{finish_get, plan_get, table_get, Plan, ReadChannel, RecordFetch};
 use crate::scan::DbScan;
 use crate::stats::DbStats;
 use crate::version::{VersionEdit, VersionSet};
@@ -297,7 +296,6 @@ impl Shared {
         if self.write_stall_check() {
             return Ok(());
         }
-        DbStats::bump(&self.stats.stall_events);
         let reason = self.stall_reason();
         let _sp =
             dlsm_trace::span_arg(dlsm_trace::Category::Stall, "write_stall", reason.trace_arg());
@@ -317,7 +315,6 @@ impl Shared {
         }
         drop(guard);
         let waited = t0.elapsed();
-        DbStats::add(&self.stats.stall_nanos, waited.as_nanos() as u64);
         self.telemetry.note_stall(reason, waited.as_micros() as u64);
         Ok(())
     }
@@ -871,21 +868,16 @@ impl Db {
             );
         }
         let channel = self.shared.read_channel().expect("debug channel");
-        for (li, _) in (0..version.level_count()).enumerate() {
-            for t in version.level(li) {
-                if t.smallest_user() <= key && key <= t.largest_user() {
-                    let got =
-                        crate::remote::table_get(&channel, t, key, seq, self.shared.cache.as_ref());
-                    let _ = writeln!(
-                        out,
-                        "  L{li} table id={} [{:?}..{:?}] -> {:?}",
-                        t.id,
-                        String::from_utf8_lossy(&t.smallest[..t.smallest.len().min(12)]),
-                        String::from_utf8_lossy(&t.largest[..t.largest.len().min(12)]),
-                        got
-                    );
-                }
-            }
+        for (level, t) in version.probe_order(key) {
+            let got = table_get(&channel, t, key, seq, self.shared.cache.as_ref());
+            let _ = writeln!(
+                out,
+                "  L{level} table id={} [{:?}..{:?}] -> {:?}",
+                t.id,
+                String::from_utf8_lossy(&t.smallest[..t.smallest.len().min(12)]),
+                String::from_utf8_lossy(&t.largest[..t.largest.len().min(12)]),
+                got
+            );
         }
         out
     }
@@ -981,55 +973,6 @@ impl DbReader {
         self.get_pinned(key, seq, &mems, &version)
     }
 
-    /// Diagnostic twin of [`DbReader::get`]: also returns a trace of every
-    /// source consulted. Test-only; not part of the public contract.
-    #[doc(hidden)]
-    pub fn get_traced(&mut self, key: &[u8]) -> Result<(Option<Vec<u8>>, String)> {
-        use std::fmt::Write as _;
-        let seq = self.shared.read_horizon();
-        let (mems, version) = self.shared.pin();
-        let mut trace = format!("horizon={seq}\n");
-        for mem in &mems {
-            let got = mem.get(key, seq);
-            let _ = writeln!(
-                trace,
-                "  mem id={} range={:?} len={} -> {:?}",
-                mem.id,
-                mem.range,
-                mem.len(),
-                got
-            );
-            match got {
-                MemGet::Found(v) => return Ok((Some(v), trace)),
-                MemGet::Deleted => return Ok((None, trace)),
-                MemGet::NotFound => {}
-            }
-        }
-        for t in version.level(0) {
-            if t.smallest_user() <= key && key <= t.largest_user() {
-                let got = table_get(&self.channel, t, key, seq, self.shared.cache.as_ref())?;
-                let _ = writeln!(trace, "  L0 id={} -> {:?}", t.id, got);
-                match got {
-                    TableGet::Found(v) => return Ok((Some(v), trace)),
-                    TableGet::Deleted => return Ok((None, trace)),
-                    TableGet::NotFound => {}
-                }
-            }
-        }
-        for level in 1..version.level_count() {
-            if let Some(t) = version.table_for_key(level, key) {
-                let got = table_get(&self.channel, t, key, seq, self.shared.cache.as_ref())?;
-                let _ = writeln!(trace, "  L{level} id={} -> {:?}", t.id, got);
-                match got {
-                    TableGet::Found(v) => return Ok((Some(v), trace)),
-                    TableGet::Deleted => return Ok((None, trace)),
-                    TableGet::NotFound => {}
-                }
-            }
-        }
-        Ok((None, trace))
-    }
-
     /// Read at a pinned snapshot.
     pub fn get_at(&mut self, snap: &Snapshot, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let (mems, version) = snap.parts();
@@ -1093,20 +1036,12 @@ impl DbReader {
         // L0: overlapping tables, newest first.
         let sp_l0 = dlsm_trace::span(dlsm_trace::Category::Db, "get_l0");
         let t_l0 = Instant::now();
-        for t in version.level(0) {
-            if t.smallest_user() <= key && key <= t.largest_user() {
-                let probe = self.probe_table(t, key, seq)?;
-                match probe {
-                    TableGet::Found(v) => {
-                        tel.get_l0.record_elapsed(t_l0.elapsed());
-                        return Ok(Some(v));
-                    }
-                    TableGet::Deleted => {
-                        tel.get_l0.record_elapsed(t_l0.elapsed());
-                        crate::telemetry::DbTelemetry::bump(&tel.get_tombstones);
-                        return Ok(None);
-                    }
-                    TableGet::NotFound => {}
+        for t in version.l0_for_key(key) {
+            match self.probe_table(t, key, seq)? {
+                TableGet::NotFound => {}
+                got => {
+                    tel.get_l0.record_elapsed(t_l0.elapsed());
+                    return Ok(self.answer(got));
                 }
             }
         }
@@ -1115,20 +1050,12 @@ impl DbReader {
         // Deeper levels: at most one candidate table per level.
         let _sp_deep = dlsm_trace::span(dlsm_trace::Category::Db, "get_deep");
         let t_deep = Instant::now();
-        for level in 1..version.level_count() {
-            if let Some(t) = version.table_for_key(level, key) {
-                let probe = self.probe_table(t, key, seq)?;
-                match probe {
-                    TableGet::Found(v) => {
-                        tel.get_deep.record_elapsed(t_deep.elapsed());
-                        return Ok(Some(v));
-                    }
-                    TableGet::Deleted => {
-                        tel.get_deep.record_elapsed(t_deep.elapsed());
-                        crate::telemetry::DbTelemetry::bump(&tel.get_tombstones);
-                        return Ok(None);
-                    }
-                    TableGet::NotFound => {}
+        for (_, t) in version.deep_for_key(key) {
+            match self.probe_table(t, key, seq)? {
+                TableGet::NotFound => {}
+                got => {
+                    tel.get_deep.record_elapsed(t_deep.elapsed());
+                    return Ok(self.answer(got));
                 }
             }
         }
@@ -1136,266 +1063,87 @@ impl DbReader {
         Ok(None)
     }
 
+    /// The value a table's `Found` or `Deleted` answer gives a get,
+    /// counting tombstones.
+    fn answer(&self, got: TableGet) -> Option<Vec<u8>> {
+        if let TableGet::Found(v) = got {
+            return Some(v);
+        }
+        crate::telemetry::DbTelemetry::bump(&self.shared.telemetry.get_tombstones);
+        None
+    }
+
     /// One table probe, accounting bloom/index skips (byte-addressable
-    /// `NotFound` never fetches a record — Sec. VI) and hot-L0 cache hits.
-    fn probe_table(
-        &mut self,
-        t: &Arc<TableHandle>,
-        key: &[u8],
-        seq: SeqNo,
-    ) -> Result<TableGet> {
+    /// `NotFound` never fetches a record — Sec. VI).
+    fn probe_table(&mut self, t: &TableHandle, key: &[u8], seq: SeqNo) -> Result<TableGet> {
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Db, "probe_table", t.id);
-        let cache = self.shared.cache.as_ref();
-        let local = cache.is_some_and(|c| c.extent_peek(t.id).is_some());
-        let got = table_get(&self.channel, t, key, seq, cache)?;
-        match &got {
-            TableGet::NotFound => {
-                if matches!(t.meta, MetaKind::ByteAddr(_)) {
-                    crate::telemetry::DbTelemetry::bump(&self.shared.telemetry.bloom_skips);
-                }
-            }
-            TableGet::Found(_) | TableGet::Deleted => {
-                if local {
-                    crate::telemetry::DbTelemetry::bump(&self.shared.telemetry.l0_cache_hits);
-                }
-            }
+        let got = table_get(&self.channel, t, key, seq, self.shared.cache.as_ref())?;
+        if got == TableGet::NotFound && matches!(t.meta, MetaKind::ByteAddr(_)) {
+            crate::telemetry::DbTelemetry::bump(&self.shared.telemetry.bloom_skips);
         }
         Ok(got)
     }
 
-    /// Batched point lookups: all byte-addressable record fetches of one
-    /// probe wave are posted as asynchronous RDMA reads on the reader's
-    /// queue pair and polled together, amortizing per-operation latency —
-    /// the read-side counterpart of the asynchronous flush pipeline
-    /// (Sec. X-C). Results are positionally aligned with `keys`.
+    /// Batched point lookups: the same probe as [`DbReader::get`], with the
+    /// record READs of all keys posted together as asynchronous RDMA reads
+    /// on the reader's queue pair and polled together, amortizing
+    /// per-operation latency — the read-side counterpart of the
+    /// asynchronous flush pipeline (Sec. X-C). Results are positionally
+    /// aligned with `keys`.
     pub fn multi_get(&mut self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        use dlsm_sstable::byte_addr::Locate;
-
         let seq = self.shared.read_horizon();
         let (mems, version) = self.shared.pin();
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        let mut resolved = vec![false; keys.len()];
+        let cache = self.shared.cache.as_ref();
         DbStats::add(&self.shared.stats.gets, keys.len() as u64);
-
-        // Phase 1: MemTables (local memory, no batching needed).
-        for (i, key) in keys.iter().enumerate() {
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+        // Plan every key: MemTables, then its tables in probe order until
+        // one answers locally or names its record. A key READs at most one
+        // record: the first located one is its newest visible version.
+        let mut wave: Vec<(usize, RecordFetch<'_>)> = Vec::new();
+        'keys: for (i, key) in keys.iter().enumerate() {
             for mem in &mems {
                 match mem.get(key, seq) {
-                    MemGet::Found(v) => {
-                        DbStats::bump(&self.shared.stats.get_hits);
-                        out[i] = Some(v);
-                        resolved[i] = true;
-                        break;
-                    }
-                    MemGet::Deleted => {
-                        resolved[i] = true;
-                        break;
-                    }
-                    MemGet::NotFound => {}
+                    MemGet::Found(v) => out[i] = Some(v),
+                    MemGet::Deleted => {}
+                    MemGet::NotFound => continue,
                 }
+                continue 'keys;
+            }
+            for (_, t) in version.probe_order(key) {
+                match plan_get(&self.channel, t, key, seq, cache)? {
+                    Plan::Done(TableGet::NotFound) => continue,
+                    Plan::Done(TableGet::Found(v)) => out[i] = Some(v),
+                    Plan::Done(TableGet::Deleted) => {}
+                    Plan::Fetch(fetch) => wave.push((i, fetch)),
+                }
+                continue 'keys;
             }
         }
-
-        // Phase 2: walk each key's source list (L0 tables newest-first, then
-        // one candidate per deeper level); each wave posts every pending
-        // byte-addressable record read at once.
-        let sources_for = |key: &[u8]| -> Vec<Arc<TableHandle>> {
-            let mut v: Vec<Arc<TableHandle>> = Vec::new();
-            for t in version.level(0) {
-                if t.smallest_user() <= key && key <= t.largest_user() {
-                    v.push(Arc::clone(t));
+        if let ReadChannel::OneSided(qp) = &self.channel {
+            // Post in bounded batches so the send queue never overflows.
+            const BATCH: usize = 128;
+            let mut qp = qp.borrow_mut();
+            for chunk in wave.chunks_mut(BATCH) {
+                for (wi, (_, fetch)) in chunk.iter_mut().enumerate() {
+                    fetch.post(&mut qp, wi as u64)?;
                 }
-            }
-            for level in 1..version.level_count() {
-                if let Some(t) = version.table_for_key(level, key) {
-                    v.push(Arc::clone(t));
-                }
-            }
-            v
-        };
-        let sources: Vec<Vec<Arc<TableHandle>>> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| if resolved[i] { Vec::new() } else { sources_for(k) })
-            .collect();
-        let mut cursor = vec![0usize; keys.len()];
-
-        struct Fetch {
-            key_idx: usize,
-            buf: Vec<u8>,
-            expected_index: usize,
-            /// Record offset within the table (cache key on admission).
-            offset: u64,
-            table: Arc<TableHandle>,
-            /// Resolved from the cache — no fabric read to post, and the
-            /// record must not be re-admitted.
-            local: bool,
-        }
-
-        loop {
-            let mut wave: Vec<Fetch> = Vec::new();
-            for i in 0..keys.len() {
-                if resolved[i] {
-                    continue;
-                }
-                // Advance through sources answerable from local metadata
-                // until this key needs a network fetch (or is resolved).
-                while cursor[i] < sources[i].len() {
-                    let table = &sources[i][cursor[i]];
-                    match &table.meta {
-                        MetaKind::ByteAddr(meta) => match meta.locate(keys[i], seq) {
-                            Locate::NotFound => cursor[i] += 1,
-                            Locate::Deleted => {
-                                resolved[i] = true;
-                                break;
-                            }
-                            Locate::Record { index, offset, len } => {
-                                // Cache-first: a hot-extent image or a
-                                // cached record resolves locally; a table
-                                // hot enough to promote is fetched whole so
-                                // the rest of the batch (and every later
-                                // read) is local too.
-                                let slice_of = |image: &Arc<Vec<u8>>| {
-                                    image[offset as usize..offset as usize + len].to_vec()
-                                };
-                                let mut local_buf: Option<Vec<u8>> = None;
-                                if let Some(c) = &self.shared.cache {
-                                    if let Some(image) = c.extent_get(table.id) {
-                                        c.note_saved(len as u64);
-                                        local_buf = Some(slice_of(&image));
-                                    } else if let Some(rec) = c.block_get(table.id, offset) {
-                                        if rec.len() == len {
-                                            local_buf = Some(rec.as_ref().clone());
-                                        }
-                                    } else if c.note_extent_miss(table.id, table.extent.len) {
-                                        if let Ok(img) = crate::remote::fetch_extent_image(
-                                            &self.channel,
-                                            table,
-                                        ) {
-                                            c.extent_admit(table.id, Arc::clone(&img));
-                                            // The promotion read paid for
-                                            // this record; no bytes saved.
-                                            local_buf = Some(slice_of(&img));
-                                        }
-                                    }
-                                }
-                                let local = local_buf.is_some();
-                                wave.push(Fetch {
-                                    key_idx: i,
-                                    buf: local_buf.unwrap_or_else(|| vec![0u8; len]),
-                                    expected_index: index,
-                                    offset,
-                                    table: Arc::clone(table),
-                                    local,
-                                });
-                                break;
-                            }
-                        },
-                        // Block tables cannot split decision from fetch;
-                        // resolve synchronously.
-                        MetaKind::Block(_, _) => {
-                            match table_get(
-                                &self.channel,
-                                table,
-                                keys[i],
-                                seq,
-                                self.shared.cache.as_ref(),
-                            )? {
-                                TableGet::Found(v) => {
-                                    DbStats::bump(&self.shared.stats.get_hits);
-                                    out[i] = Some(v);
-                                    resolved[i] = true;
-                                    break;
-                                }
-                                TableGet::Deleted => {
-                                    resolved[i] = true;
-                                    break;
-                                }
-                                TableGet::NotFound => cursor[i] += 1,
-                            }
-                        }
-                    }
-                }
-                if cursor[i] >= sources[i].len() {
-                    resolved[i] = true; // exhausted: stays None
-                }
-            }
-            if wave.is_empty() {
-                break;
-            }
-            // Post every fetch of this wave, then poll them all (skip the
-            // ones already satisfied from the local cache).
-            if let ReadChannel::OneSided(qp) = &self.channel {
-                // Post in bounded batches so the send queue never overflows.
-                const BATCH: usize = 128;
-                let mut qp = qp.borrow_mut();
-                let mut pending = 0usize;
-                for (wi, f) in wave.iter_mut().enumerate() {
-                    if f.local {
-                        continue; // buf already filled from the cache
-                    }
-                    let (off, len) = match &f.table.meta {
-                        MetaKind::ByteAddr(meta) => meta.index.record(f.expected_index),
-                        // PANIC-SAFE: wave construction above only enqueues
-                        // byte-addressable tables; block tables resolve inline.
-                        MetaKind::Block(..) => unreachable!("block fetches resolve inline"),
-                    };
-                    debug_assert_eq!(len, f.buf.len());
-                    let addr = f.table.home.addr(f.table.extent.offset + off);
-                    qp.post_read(addr, &mut f.buf, wi as u64)?;
-                    pending += 1;
-                    if pending >= BATCH {
-                        for _ in 0..pending {
-                            qp.poll_one_blocking(Duration::from_secs(10))?;
-                        }
-                        pending = 0;
-                    }
-                }
-                for _ in 0..pending {
+                for _ in 0..chunk.len() {
                     qp.poll_one_blocking(Duration::from_secs(10))?;
                 }
-            } else {
-                // Two-sided channel: no posting interface; fetch serially.
-                for f in wave.iter_mut() {
-                    if f.local {
-                        continue;
-                    }
-                    let (off, len) = match &f.table.meta {
-                        MetaKind::ByteAddr(meta) => meta.index.record(f.expected_index),
-                        // PANIC-SAFE: same wave invariant as the one-sided arm.
-                        MetaKind::Block(..) => unreachable!(),
-                    };
-                    debug_assert_eq!(len, f.buf.len());
-                    let source = crate::remote::RemoteSource::for_table(&self.channel, &f.table);
-                    source
-                        .read(off, &mut f.buf)
-                        .map_err(|e| DbError::Sst(e.to_string()))?;
-                }
             }
-            // Parse the fetched records.
-            for f in wave {
-                // PANIC-SAFE: waves hold byte-addr fetches only (see above).
-                let MetaKind::ByteAddr(meta) = &f.table.meta else { unreachable!() };
-                let expected_key = meta.index.key(f.expected_index);
-                let buf = Arc::new(f.buf);
-                match dlsm_sstable::byte_addr::parse_record_bytes(&buf) {
-                    Ok((ikey, value)) if ikey == expected_key => {
-                        DbStats::bump(&self.shared.stats.get_hits);
-                        out[f.key_idx] = Some(value.to_vec());
-                        resolved[f.key_idx] = true;
-                        if !f.local {
-                            if let Some(c) = &self.shared.cache {
-                                c.block_admit(f.table.id, f.offset, &buf);
-                            }
-                        }
-                    }
-                    Ok(_) => {
-                        return Err(DbError::Sst("record key does not match index".into()))
-                    }
-                    Err(e) => return Err(DbError::Sst(e.to_string())),
-                }
+        } else {
+            // Two-sided channel: no posting interface; fetch serially.
+            for (_, fetch) in wave.iter_mut() {
+                fetch.read(&self.channel)?;
             }
         }
+        for (i, fetch) in wave {
+            if let TableGet::Found(v) = finish_get(fetch, cache)? {
+                out[i] = Some(v);
+            }
+        }
+        let hits = out.iter().filter(|v| v.is_some()).count();
+        DbStats::add(&self.shared.stats.get_hits, hits as u64);
         Ok(out)
     }
 

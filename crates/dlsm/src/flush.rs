@@ -263,7 +263,7 @@ pub struct FlushOutput {
     /// Record count.
     pub num_entries: u64,
     /// Local mirror of the table image (present when requested via
-    /// `keep_local_copy`), for the hot-L0 cache.
+    /// `keep_local_copy`), for the read cache's extent pool.
     pub local_image: Option<Vec<u8>>,
 }
 

@@ -17,10 +17,10 @@ use std::time::Duration;
 use dlsm_cache::ReadCache;
 use dlsm_memnode::RpcClient;
 use dlsm_sstable::block::{BlockFetcher, BlockTableReader};
-use dlsm_sstable::byte_addr::{ByteAddrIter, ByteAddrReader, Locate, TableGet};
+use dlsm_sstable::byte_addr::{parse_record_bytes, ByteAddrIter, Locate, TableGet, TableMeta};
 use dlsm_sstable::iter::ForwardIter;
 use dlsm_sstable::key::SeqNo;
-use dlsm_sstable::source::{CachedSource, DataSource, SliceSource};
+use dlsm_sstable::source::{DataSource, SliceSource};
 use dlsm_sstable::SstError;
 use rdma_sim::QueuePair;
 
@@ -171,7 +171,7 @@ impl BlockFetcher for TableFetcher {
 /// Fetch `handle`'s whole extent in one fabric read (the on-demand
 /// promotion path: a table that keeps missing earns a single large read so
 /// every later probe is local).
-pub(crate) fn fetch_extent_image(
+fn fetch_extent_image(
     channel: &ReadChannel,
     handle: &TableHandle,
 ) -> Result<Arc<Vec<u8>>> {
@@ -181,40 +181,148 @@ pub(crate) fn fetch_extent_image(
     Ok(Arc::new(buf))
 }
 
-/// If the extent pool holds an image of `handle`, serve probes from it.
-/// Counts the hit and the record bytes the image saved (exact, via a local
-/// index lookup — no fabric traffic either way).
-fn image_get(
-    cache: &Arc<ReadCache>,
-    image: Arc<Vec<u8>>,
-    handle: &TableHandle,
-    user_key: &[u8],
-    seq: SeqNo,
-    count_saved: bool,
-) -> Result<TableGet> {
-    if count_saved {
-        if let MetaKind::ByteAddr(meta) = &handle.meta {
-            if let Locate::Record { len, .. } = meta.locate(user_key, seq) {
-                cache.note_saved(len as u64);
-            }
-        }
+/// The local half of one table probe (see [`plan_get`]).
+pub(crate) enum Plan<'t> {
+    /// The table answered without a record READ.
+    Done(TableGet),
+    /// The newest visible version is a record still to be READ; READ it,
+    /// then [`finish_get`].
+    Fetch(RecordFetch<'t>),
+}
+
+/// A located record of a byte-addressable table, still to be READ.
+pub(crate) struct RecordFetch<'t> {
+    handle: &'t TableHandle,
+    meta: &'t TableMeta,
+    /// Index slot of the record; its key is checked against the bytes.
+    index: usize,
+    /// Offset of the record in the table's data image.
+    offset: u64,
+    /// Record length in bytes.
+    len: usize,
+    /// The READ's destination, allocated only once a READ is issued.
+    record: Vec<u8>,
+}
+
+impl RecordFetch<'_> {
+    /// Post the record's READ on `qp`. Poll its completion before
+    /// [`finish_get`].
+    pub(crate) fn post(&mut self, qp: &mut QueuePair, wr_id: u64) -> Result<()> {
+        let addr = self.handle.home.addr(self.handle.extent.offset + self.offset);
+        self.record = vec![0u8; self.len];
+        Ok(qp.post_read(addr, &mut self.record, wr_id)?)
     }
-    let source = SliceSource(ArcBytes(image));
-    match &handle.meta {
-        MetaKind::ByteAddr(meta) => {
-            Ok(ByteAddrReader::new(Arc::clone(meta), source).get(user_key, seq)?)
+
+    /// READ the record synchronously over `channel`.
+    pub(crate) fn read(&mut self, channel: &ReadChannel) -> Result<()> {
+        self.record = vec![0u8; self.len];
+        RemoteSource::for_table(channel, self.handle).read(self.offset, &mut self.record)?;
+        Ok(())
+    }
+
+    /// Parse the record's bytes, checking its key against the index.
+    fn decode(&self, record: &[u8]) -> Result<TableGet> {
+        let (ikey, value) = parse_record_bytes(record)?;
+        if ikey != self.meta.index.key(self.index) {
+            return Err(SstError::Corrupt("record key does not match index".into()).into());
         }
-        MetaKind::Block(bmc, _) => {
-            Ok(BlockTableReader::from_cache(source, bmc.clone()).get(user_key, seq)?)
-        }
+        Ok(TableGet::Found(value.to_vec()))
+    }
+
+    /// Serve the record from a local image of the whole table.
+    fn slice_image(&self, image: &[u8]) -> Result<TableGet> {
+        let start = self.offset as usize;
+        let record = image
+            .get(start..start + self.len)
+            .ok_or_else(|| SstError::Corrupt("record extends past table image".into()))?;
+        self.decode(record)
     }
 }
 
-/// Point lookup against one table handle. One bloom probe + one read of a
+/// Plan a point lookup of `user_key` at `seq` in one table: everything a
+/// probe can decide without a record READ.
+///
+/// On a byte-addressable table the bloom/index `locate` runs first, from
+/// compute-local metadata, so negatives touch no cache and add no
+/// extent-promotion heat. A located record is then served cache-first:
+/// from the table's extent image, from a promotion that fetches the whole
+/// image (a table that keeps missing earns one large READ so every later
+/// probe is local), or from the record pool; otherwise the plan names the
+/// one record to READ. Block tables decide inside the block reader, which
+/// reads one whole block through the block pool.
+pub(crate) fn plan_get<'t>(
+    channel: &ReadChannel,
+    handle: &'t TableHandle,
+    user_key: &[u8],
+    seq: SeqNo,
+    cache: Option<&Arc<ReadCache>>,
+) -> Result<Plan<'t>> {
+    let meta = match &handle.meta {
+        MetaKind::ByteAddr(meta) => meta,
+        MetaKind::Block(bmc, _) => {
+            let got = match cache.and_then(|c| c.extent_get(handle.id)) {
+                Some(image) => {
+                    BlockTableReader::from_cache(SliceSource(ArcBytes(image)), bmc.clone())
+                        .get(user_key, seq)?
+                }
+                None => {
+                    let source = RemoteSource::for_table(channel, handle);
+                    let mut reader = BlockTableReader::from_cache(source, bmc.clone());
+                    if let Some(c) = cache {
+                        reader = reader.with_fetcher(TableFetcher::new(c, handle.id));
+                    }
+                    reader.get(user_key, seq)?
+                }
+            };
+            return Ok(Plan::Done(got));
+        }
+    };
+    let fetch = match meta.locate(user_key, seq) {
+        Locate::NotFound => return Ok(Plan::Done(TableGet::NotFound)),
+        Locate::Deleted => return Ok(Plan::Done(TableGet::Deleted)),
+        Locate::Record { index, offset, len } => {
+            RecordFetch { handle, meta, index, offset, len, record: Vec::new() }
+        }
+    };
+    let Some(c) = cache else { return Ok(Plan::Fetch(fetch)) };
+    if let Some(image) = c.extent_get(handle.id) {
+        c.note_saved(fetch.len as u64);
+        return Ok(Plan::Done(fetch.slice_image(&image)?));
+    }
+    if c.note_extent_miss(handle.id, handle.extent.len) {
+        if let Ok(image) = fetch_extent_image(channel, handle) {
+            c.extent_admit(handle.id, Arc::clone(&image));
+            // The promotion read just paid for this probe — no saved bytes
+            // to claim until the next one.
+            return Ok(Plan::Done(fetch.slice_image(&image)?));
+        }
+    }
+    match c.block_get(handle.id, fetch.offset) {
+        Some(record) if record.len() == fetch.len => {
+            Ok(Plan::Done(fetch.decode(&record)?))
+        }
+        _ => Ok(Plan::Fetch(fetch)),
+    }
+}
+
+/// Finish a probe [`plan_get`] left at [`Plan::Fetch`], once its record
+/// has been READ: check the record's key against the index, then offer the
+/// record to the cache.
+pub(crate) fn finish_get(
+    fetch: RecordFetch<'_>,
+    cache: Option<&Arc<ReadCache>>,
+) -> Result<TableGet> {
+    let got = fetch.decode(&fetch.record)?;
+    if let Some(c) = cache {
+        c.block_admit(fetch.handle.id, fetch.offset, &Arc::new(fetch.record));
+    }
+    Ok(got)
+}
+
+/// Point lookup against one table handle: [`plan_get`], the one record
+/// READ it may name, then [`finish_get`]. One bloom probe + one read of a
 /// single record for byte-addressable tables; a whole-block read for block
-/// tables. With a [`ReadCache`], reads go cache-first: a hot-extent image
-/// serves the probe with zero fabric traffic, otherwise the record/block
-/// fetch consults the block pool and admits its miss.
+/// tables.
 pub fn table_get(
     channel: &ReadChannel,
     handle: &TableHandle,
@@ -222,51 +330,11 @@ pub fn table_get(
     seq: SeqNo,
     cache: Option<&Arc<ReadCache>>,
 ) -> Result<TableGet> {
-    if let Some(c) = cache {
-        if let Some(image) = c.extent_get(handle.id) {
-            return image_get(c, image, handle, user_key, seq, true);
-        }
-        match &handle.meta {
-            MetaKind::ByteAddr(meta) => {
-                // Decide from local metadata first: bloom/index negatives
-                // cost nothing and must not count as cache traffic (or
-                // extent-promotion heat).
-                match meta.locate(user_key, seq) {
-                    Locate::NotFound => return Ok(TableGet::NotFound),
-                    Locate::Deleted => return Ok(TableGet::Deleted),
-                    Locate::Record { .. } => {}
-                }
-                if c.note_extent_miss(handle.id, handle.extent.len) {
-                    if let Ok(image) = fetch_extent_image(channel, handle) {
-                        c.extent_admit(handle.id, Arc::clone(&image));
-                        // The promotion read just paid for this probe — no
-                        // saved bytes to claim until the next one.
-                        return image_get(c, image, handle, user_key, seq, false);
-                    }
-                }
-                let source = CachedSource::new(
-                    RemoteSource::for_table(channel, handle),
-                    TableFetcher::new(c, handle.id),
-                );
-                return Ok(ByteAddrReader::new(Arc::clone(meta), source).get(user_key, seq)?);
-            }
-            MetaKind::Block(bmc, _) => {
-                let source = RemoteSource::for_table(channel, handle);
-                let reader = BlockTableReader::from_cache(source, bmc.clone())
-                    .with_fetcher(TableFetcher::new(c, handle.id));
-                return Ok(reader.get(user_key, seq)?);
-            }
-        }
-    }
-    let source = RemoteSource::for_table(channel, handle);
-    match &handle.meta {
-        MetaKind::ByteAddr(meta) => {
-            let reader = ByteAddrReader::new(Arc::clone(meta), source);
-            Ok(reader.get(user_key, seq)?)
-        }
-        MetaKind::Block(bmc, _) => {
-            let reader = BlockTableReader::from_cache(source, bmc.clone());
-            Ok(reader.get(user_key, seq)?)
+    match plan_get(channel, handle, user_key, seq, cache)? {
+        Plan::Done(got) => Ok(got),
+        Plan::Fetch(mut fetch) => {
+            fetch.read(channel)?;
+            finish_get(fetch, cache)
         }
     }
 }
@@ -371,6 +439,28 @@ mod tests {
         let got = table_get(&channel, &handle, b"nope", 100, None).unwrap();
         assert_eq!(got, TableGet::NotFound);
         assert_eq!(fabric.stats().snapshot().delta(&before).ops(Verb::Read), 0);
+
+        // With a record cache: a READ record is admitted and the next probe
+        // of it costs no READ; a cached object of the wrong length at a
+        // record's offset is skipped, not served.
+        let cache = ReadCache::new(dlsm_cache::CacheConfig {
+            promote_extent_after: 0,
+            ..dlsm_cache::CacheConfig::with_capacity(1 << 20)
+        });
+        let reads = |key: &[u8], want: &[u8]| {
+            let before = fabric.stats().snapshot();
+            let got = table_get(&channel, &handle, key, 100, cache.as_ref()).unwrap();
+            assert_eq!(got, TableGet::Found(want.to_vec()));
+            fabric.stats().snapshot().delta(&before).ops(Verb::Read)
+        };
+        assert_eq!(reads(b"key0042", b"val42"), 1);
+        assert_eq!(reads(b"key0042", b"val42"), 0);
+        let MetaKind::ByteAddr(meta) = &handle.meta else { unreachable!() };
+        let Locate::Record { offset, .. } = meta.locate(b"key0043", 100) else { unreachable!() };
+        let c = cache.as_ref().unwrap();
+        c.block_admit(1, offset, &Arc::new(b"stale".to_vec()));
+        assert!(c.block_get(1, offset).is_some());
+        assert_eq!(reads(b"key0043", b"val43"), 1);
     }
 
     #[test]

@@ -226,10 +226,10 @@ impl Db {
             (counters.flush_bytes + counters.compaction_bytes_out) as f64
                 / counters.flush_bytes as f64
         };
-        let stall_fraction =
-            counters.stall_nanos as f64 / (live.uptime.as_nanos().max(1)) as f64;
         let (_, stall_imm_micros) = shared.telemetry.stall_micros(StallReason::ImmQueueFull);
         let (_, stall_l0_micros) = shared.telemetry.stall_micros(StallReason::L0Limit);
+        let stall_fraction = (stall_imm_micros + stall_l0_micros) as f64
+            / (live.uptime.as_micros().max(1)) as f64;
 
         let alloc = shared.memnode.flush_alloc();
         let report = StatsReport {

@@ -1,7 +1,6 @@
 //! Database counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Atomic counters exported by one [`crate::Db`].
 #[derive(Debug, Default)]
@@ -35,10 +34,6 @@ pub struct DbStats {
     pub compaction_records_out: AtomicU64,
     /// Bytes written to remote memory by compaction outputs.
     pub compaction_bytes_out: AtomicU64,
-    /// Write-stall episodes.
-    pub stall_events: AtomicU64,
-    /// Total nanoseconds writers spent stalled.
-    pub stall_nanos: AtomicU64,
     /// Batched remote-free RPCs issued.
     pub gc_batches: AtomicU64,
     /// Extents freed remotely.
@@ -62,12 +57,6 @@ impl DbStats {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Total time writers spent stalled.
-    pub fn stall_time(&self) -> Duration {
-        // ORDERING: relaxed — stats read; tolerates staleness.
-        Duration::from_nanos(self.stall_nanos.load(Ordering::Relaxed))
-    }
-
     /// A plain point-in-time copy of every counter. Call sites should use
     /// this instead of reaching into the atomics one `Relaxed` load at a
     /// time — the snapshot is `Copy`, diffable, and printable.
@@ -87,8 +76,6 @@ impl DbStats {
             compaction_records_in: Self::get(&self.compaction_records_in),
             compaction_records_out: Self::get(&self.compaction_records_out),
             compaction_bytes_out: Self::get(&self.compaction_bytes_out),
-            stall_events: Self::get(&self.stall_events),
-            stall_nanos: Self::get(&self.stall_nanos),
             gc_batches: Self::get(&self.gc_batches),
             gc_extents: Self::get(&self.gc_extents),
         }
@@ -127,10 +114,6 @@ pub struct DbStatsSnapshot {
     pub compaction_records_out: u64,
     /// Bytes written to remote memory by compaction outputs.
     pub compaction_bytes_out: u64,
-    /// Write-stall episodes.
-    pub stall_events: u64,
-    /// Total nanoseconds writers spent stalled.
-    pub stall_nanos: u64,
     /// Batched remote-free RPCs issued.
     pub gc_batches: u64,
     /// Extents freed remotely.
@@ -138,11 +121,6 @@ pub struct DbStatsSnapshot {
 }
 
 impl DbStatsSnapshot {
-    /// Total time writers spent stalled.
-    pub fn stall_time(&self) -> Duration {
-        Duration::from_nanos(self.stall_nanos)
-    }
-
     /// Field-wise `self - earlier` (saturating).
     #[must_use]
     pub fn delta(&self, earlier: &DbStatsSnapshot) -> DbStatsSnapshot {
@@ -171,14 +149,12 @@ impl DbStatsSnapshot {
         f(&mut self.compaction_records_in, other.compaction_records_in);
         f(&mut self.compaction_records_out, other.compaction_records_out);
         f(&mut self.compaction_bytes_out, other.compaction_bytes_out);
-        f(&mut self.stall_events, other.stall_events);
-        f(&mut self.stall_nanos, other.stall_nanos);
         f(&mut self.gc_batches, other.gc_batches);
         f(&mut self.gc_extents, other.gc_extents);
     }
 
     /// The counters as `(name, value)` pairs, for telemetry export.
-    pub fn named_counters(&self) -> [(&'static str, u64); 18] {
+    pub fn named_counters(&self) -> [(&'static str, u64); 16] {
         [
             ("puts", self.puts),
             ("deletes", self.deletes),
@@ -194,8 +170,6 @@ impl DbStatsSnapshot {
             ("compaction_records_in", self.compaction_records_in),
             ("compaction_records_out", self.compaction_records_out),
             ("compaction_bytes_out", self.compaction_bytes_out),
-            ("stall_events", self.stall_events),
-            ("stall_nanos", self.stall_nanos),
             ("gc_batches", self.gc_batches),
             ("gc_extents", self.gc_extents),
         ]
@@ -206,7 +180,7 @@ impl std::fmt::Display for DbStatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "puts={} gets={} (hits={}) switches={} flushes={} ({} MiB) compactions={} (subtasks={}, {}→{} records) stalls={} ({:?}) gc_batches={}",
+            "puts={} gets={} (hits={}) switches={} flushes={} ({} MiB) compactions={} (subtasks={}, {}→{} records) gc_batches={}",
             self.puts,
             self.gets,
             self.get_hits,
@@ -217,8 +191,6 @@ impl std::fmt::Display for DbStatsSnapshot {
             self.compaction_subtasks,
             self.compaction_records_in,
             self.compaction_records_out,
-            self.stall_events,
-            self.stall_time(),
             self.gc_batches,
         )
     }
@@ -269,13 +241,13 @@ mod tests {
         let b = DbStats::default();
         DbStats::add(&a.puts, 3);
         DbStats::add(&b.puts, 4);
-        DbStats::bump(&b.stall_events);
+        DbStats::bump(&b.gc_batches);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.puts, 7);
-        assert_eq!(m.stall_events, 1);
+        assert_eq!(m.gc_batches, 1);
         let named: std::collections::HashMap<_, _> = m.named_counters().into_iter().collect();
         assert_eq!(named["puts"], 7);
-        assert_eq!(named.len(), 18);
+        assert_eq!(named.len(), 16);
     }
 }

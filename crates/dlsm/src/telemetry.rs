@@ -30,8 +30,6 @@ pub struct DbTelemetry {
     /// Byte-addressable table probes answered `NotFound` from compute-local
     /// metadata (bloom filter / index rejection) — zero RDMA reads issued.
     pub bloom_skips: AtomicU64,
-    /// Table probes resolved from a compute-local L0 image (hot-L0 cache).
-    pub l0_cache_hits: AtomicU64,
     /// `get`s answered "absent" by a tombstone (as opposed to never finding
     /// any version of the key). Delete-heavy workloads watch this to verify
     /// that deletes actually shadow older values.
@@ -127,7 +125,6 @@ impl DbTelemetry {
         s.set_breakdown("get_deep", self.get_deep.snapshot());
         // ORDERING: relaxed — stats-report reads of monotonic counters.
         s.set_counter("bloom_skips", self.bloom_skips.load(Ordering::Relaxed));
-        s.set_counter("l0_cache_hits", self.l0_cache_hits.load(Ordering::Relaxed));
         // ORDERING: relaxed — stats-report read of a monotonic counter.
         s.set_counter("get_tombstones", self.get_tombstones.load(Ordering::Relaxed));
         let (retries, reconnects) = self.net.totals();

@@ -65,6 +65,35 @@ impl Version {
         (t.smallest_user() <= user_key).then_some(t)
     }
 
+    /// The L0 tables a point lookup of `user_key` probes: those whose range
+    /// holds the key, newest first.
+    pub fn l0_for_key<'v>(
+        &'v self,
+        user_key: &'v [u8],
+    ) -> impl Iterator<Item = &'v Arc<TableHandle>> + 'v {
+        self.levels[0].iter().filter(move |t| t.overlaps_user_range(user_key, user_key))
+    }
+
+    /// The deeper-level tables a point lookup of `user_key` probes: at most
+    /// one per level ([`Self::table_for_key`]), shallowest first, each with
+    /// its level.
+    pub fn deep_for_key<'v>(
+        &'v self,
+        user_key: &'v [u8],
+    ) -> impl Iterator<Item = (usize, &'v Arc<TableHandle>)> + 'v {
+        (1..self.levels.len()).filter_map(move |l| self.table_for_key(l, user_key).map(|t| (l, t)))
+    }
+
+    /// Every table a point lookup of `user_key` probes, in probe order, each
+    /// with its level: [`Self::l0_for_key`], then [`Self::deep_for_key`].
+    /// The first table holding a visible version of the key answers.
+    pub fn probe_order<'v>(
+        &'v self,
+        user_key: &'v [u8],
+    ) -> impl Iterator<Item = (usize, &'v Arc<TableHandle>)> + 'v {
+        self.l0_for_key(user_key).map(|t| (0, t)).chain(self.deep_for_key(user_key))
+    }
+
     /// Apply `edit`, producing the next version.
     fn apply(&self, edit: &VersionEdit) -> Version {
         let mut next = self.clone();
@@ -216,6 +245,23 @@ mod tests {
         assert_eq!(v.table_for_key(1, b"p").unwrap().id, 2);
         assert!(v.table_for_key(1, b"d").is_none());
         assert!(v.table_for_key(1, b"q").is_none());
+    }
+
+    #[test]
+    fn probe_order_walks_overlapping_l0_then_one_table_per_level() {
+        let vs = VersionSet::new(3);
+        let mut e = VersionEdit::default();
+        e.add(0, handle(5, "a", "k"));
+        e.add(0, handle(6, "m", "z"));
+        e.add(0, handle(7, "c", "p"));
+        e.add(1, handle(1, "a", "f"));
+        e.add(1, handle(2, "g", "z"));
+        e.add(2, handle(3, "a", "z"));
+        let v = vs.install(&e);
+        let order: Vec<(usize, u64)> = v.probe_order(b"h").map(|(l, t)| (l, t.id)).collect();
+        assert_eq!(order, vec![(0, 7), (0, 5), (1, 2), (2, 3)]);
+        let order: Vec<(usize, u64)> = v.probe_order(b"zz").map(|(l, t)| (l, t.id)).collect();
+        assert!(order.is_empty());
     }
 
     #[test]

@@ -3,7 +3,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dlsm::{Cluster, ClusterConfig, ComputeContext, Db, DbConfig, MemNodeHandle, ShardedDb};
+use dlsm::{
+    CacheConfig, Cluster, ClusterConfig, ComputeContext, Db, DbConfig, MemNodeHandle, ShardedDb,
+    StallReason,
+};
 use dlsm_memnode::{MemServer, MemServerConfig, TableFormat};
 use rdma_sim::{Fabric, NetworkProfile, Verb};
 
@@ -458,7 +461,8 @@ fn bulkload_mode_never_stalls() {
     for i in 0..5_000u64 {
         db.put(&key(i), &[1u8; 64]).unwrap();
     }
-    assert_eq!(db.stats().snapshot().stall_events, 0);
+    assert_eq!(db.telemetry().stall_micros(StallReason::ImmQueueFull), (0, 0));
+    assert_eq!(db.telemetry().stall_micros(StallReason::L0Limit), (0, 0));
     db.shutdown();
     server.shutdown();
 }
@@ -583,7 +587,12 @@ fn local_l0_cache_serves_reads_without_network() {
         // stay put: raise the trigger beyond what this test creates.
         l0_compaction_trigger: 1_000,
         l0_stop_writes_trigger: None,
-        local_l0_cache_bytes: 32 << 20,
+        cache: CacheConfig {
+            capacity_bytes: 32 << 20,
+            extent_percent: 100,
+            promote_extent_after: 0,
+            ..CacheConfig::default()
+        },
         ..DbConfig::small()
     };
     let db = open_db(&fabric, &server, cfg);
@@ -611,11 +620,65 @@ fn local_l0_cache_serves_reads_without_network() {
 }
 
 #[test]
+fn absent_keys_never_touch_the_cache() {
+    let fabric = Fabric::new(NetworkProfile::instant());
+    let server = small_server(&fabric);
+    let cfg = DbConfig {
+        l0_compaction_trigger: 1_000,
+        l0_stop_writes_trigger: None,
+        cache: CacheConfig {
+            capacity_bytes: 32 << 20,
+            extent_percent: 100,
+            promote_extent_after: 0,
+            ..CacheConfig::default()
+        },
+        ..DbConfig::small()
+    };
+    let db = open_db(&fabric, &server, cfg);
+    for i in 0..2_000u64 {
+        db.put(&key(2 * i), b"present").unwrap();
+        if i % 500 == 499 {
+            db.force_flush().unwrap();
+        }
+    }
+    assert!(db.level_shape()[0] >= 4, "need several L0 tables: {:?}", db.level_shape());
+    let mut r = db.reader();
+    // The tables hold local images: a present key is an extent hit.
+    let before = db.cache_stats().unwrap();
+    assert_eq!(r.get(&key(0)).unwrap().as_deref(), Some(&b"present"[..]));
+    assert!(db.cache_stats().unwrap().extent_hits > before.extent_hits);
+
+    // Odd keys fall inside the tables' ranges but are absent: bloom and
+    // index reject them from local metadata, before any cache lookup.
+    let absent: Vec<Vec<u8>> = (0..300u64).map(|i| key(2 * i + 1)).collect();
+    let counters = |db: &Db| {
+        let s = db.cache_stats().unwrap();
+        (s.extent_hits, s.extent_misses, s.block_hits, s.block_misses)
+    };
+    let before = counters(&db);
+    for k in &absent {
+        assert_eq!(r.get(k).unwrap(), None);
+    }
+    assert_eq!(counters(&db), before, "get of absent keys touched the cache");
+    let refs: Vec<&[u8]> = absent.iter().map(Vec::as_slice).collect();
+    assert!(r.multi_get(&refs).unwrap().iter().all(Option::is_none));
+    assert_eq!(counters(&db), before, "multi_get of absent keys touched the cache");
+    db.shutdown();
+    server.shutdown();
+}
+
+#[test]
 fn local_l0_cache_budget_is_respected_and_recycled() {
     let fabric = Fabric::new(NetworkProfile::instant());
     let server = small_server(&fabric);
     let cfg = DbConfig {
-        local_l0_cache_bytes: 96 << 10, // roughly one small MemTable
+        // Roughly one small MemTable.
+        cache: CacheConfig {
+            capacity_bytes: 96 << 10,
+            extent_percent: 100,
+            promote_extent_after: 0,
+            ..CacheConfig::default()
+        },
         ..DbConfig::small()
     };
     let db = open_db(&fabric, &server, cfg);

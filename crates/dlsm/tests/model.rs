@@ -236,7 +236,7 @@ fn concurrent_reader_writer_model() {
                 let mut last_seen: BTreeMap<u64, u64> = BTreeMap::new();
                 while !stop.load(std::sync::atomic::Ordering::Acquire) {
                     for k in 0..40u64 {
-                        let (got, trace) = reader.get_traced(&kb(k)).unwrap();
+                        let got = reader.get(&kb(k)).unwrap();
                         if let Some(v) = got {
                             let version = u64::from_le_bytes(v.try_into().expect("8B version"));
                             let prev = last_seen.insert(k, version).unwrap_or(0);
@@ -252,7 +252,7 @@ fn concurrent_reader_writer_model() {
                                     .unwrap()
                                     .map(|v| u64::from_le_bytes(v.try_into().expect("8B")));
                                 panic!(
-                                    "version regressed on key {k}: prev={prev} got={version} reread={reread:?} horizon={horizon} latest_put=(v{wv}, seq {ws}) shape={:?}\nfailing read trace:\n{trace}\nsources now:\n{}",
+                                    "version regressed on key {k}: prev={prev} got={version} reread={reread:?} horizon={horizon} latest_put=(v{wv}, seq {ws}) shape={:?}\nsources now:\n{}",
                                     db.level_shape(),
                                     db.debug_lookup(&kb(k)),
                                 );

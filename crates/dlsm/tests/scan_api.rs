@@ -167,7 +167,7 @@ fn short_scans_read_kilobytes_and_long_scans_reach_the_prefetch_cap() {
         scan_prefetch: CAP,
         ..DbConfig::small()
     };
-    assert!(!cfg.cache.enabled() && cfg.local_l0_cache_bytes == 0, "cache must be off");
+    assert!(!cfg.cache.enabled(), "cache must be off");
     let (server, db) = open_on(&fabric, cfg);
     let value = [b'v'; 100];
     // Every key once, compacted into L1; then small flushes of overwrites,

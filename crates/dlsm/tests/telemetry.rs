@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle};
+use dlsm::{CacheConfig, ComputeContext, Db, DbConfig, MemNodeHandle};
 use dlsm_memnode::{MemServer, MemServerConfig};
 use dlsm_telemetry::OpClass;
 use rdma_sim::{Fabric, NetworkProfile, Verb};
@@ -39,8 +39,8 @@ fn key(i: u64) -> Vec<u8> {
 fn point_get_attributes_exactly_one_rdma_read() {
     let fabric = Fabric::new(NetworkProfile::instant());
     let server = small_server(&fabric);
-    // No local L0 cache: every table probe must go to remote memory.
-    let cfg = DbConfig { local_l0_cache_bytes: 0, ..DbConfig::small() };
+    // No read cache (the default): every table probe goes to remote memory.
+    let cfg = DbConfig::small();
     let db = open_db(&fabric, &server, cfg);
     let n = 500u64;
     for i in 0..n {
@@ -139,8 +139,15 @@ fn snapshot_delta_isolates_a_phase() {
 fn local_l0_cache_hits_are_counted_and_cost_no_reads() {
     let fabric = Fabric::new(NetworkProfile::instant());
     let server = small_server(&fabric);
-    let cfg = DbConfig { local_l0_cache_bytes: 32 << 20, ..DbConfig::small() };
-    let db = open_db(&fabric, &server, cfg);
+    // An extent-only cache: flush-time L0 images, no record pool, no
+    // promotion.
+    let cache = CacheConfig {
+        capacity_bytes: 32 << 20,
+        extent_percent: 100,
+        promote_extent_after: 0,
+        ..CacheConfig::default()
+    };
+    let db = open_db(&fabric, &server, DbConfig { cache, ..DbConfig::small() });
     for i in 0..300u64 {
         db.put(&key(i), b"cached").unwrap();
     }
@@ -148,21 +155,19 @@ fn local_l0_cache_hits_are_counted_and_cost_no_reads() {
     // Do not wait for compaction: freshly-flushed L0 tables carry local
     // images. Probe keys now resident only in L0.
     let mut r = db.reader();
+    let cache_before = db.cache_stats().unwrap();
     let before = r.traffic();
-    let mut hits = 0;
     for i in 0..300u64 {
-        if r.get(&key(i)).unwrap().is_some() {
-            hits += 1;
-        }
+        assert_eq!(r.get(&key(i)).unwrap().as_deref(), Some(&b"cached"[..]));
     }
-    assert_eq!(hits, 300);
-    let snap = db.telemetry_snapshot();
-    let cache_hits = snap.counter("l0_cache_hits");
+    let extent_hits = db.cache_stats().unwrap().extent_hits - cache_before.extent_hits;
     let d = r.traffic().delta(&before);
-    assert!(cache_hits > 0, "L0 cache should serve some probes");
+    assert!(extent_hits > 0, "L0 cache should serve some probes");
+    // Each get locates its key in exactly one table, so a hit is the get's
+    // only record and must cost no READ.
     assert!(
-        d.ops(Verb::Read) <= 300 - cache_hits,
-        "each cache hit must save at least one RDMA read ({} reads, {cache_hits} hits)",
+        d.ops(Verb::Read) + extent_hits <= 300,
+        "each cache hit must save one RDMA read ({} reads, {extent_hits} hits)",
         d.ops(Verb::Read)
     );
     db.shutdown();

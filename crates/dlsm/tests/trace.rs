@@ -50,7 +50,6 @@ fn traced_get_and_cross_node_dispatch() {
         l1_max_bytes: 48 << 10,
         level_multiplier: 4,
         max_levels: 6,
-        local_l0_cache_bytes: 0,
         ..DbConfig::small()
     };
     let db = Db::open(ctx, mem, cfg).unwrap();

@@ -468,7 +468,7 @@ mod tests {
         let mut b = TelemetrySnapshot::new();
         b.ops[OpClass::Put.idx()] = hist_of(&[300]);
         b.set_counter("bloom_skips", 2);
-        b.set_counter("l0_cache_hits", 7);
+        b.set_counter("get_tombstones", 7);
         b.rdma.push(VerbTraffic { verb: "read".into(), ops: 1, bytes: 64 });
         b.rdma.push(VerbTraffic { verb: "write".into(), ops: 2, bytes: 128 });
 
@@ -476,7 +476,7 @@ mod tests {
         m.merge(&b);
         assert_eq!(m.op(OpClass::Put).count(), 3);
         assert_eq!(m.counter("bloom_skips"), 5);
-        assert_eq!(m.counter("l0_cache_hits"), 7);
+        assert_eq!(m.counter("get_tombstones"), 7);
         assert_eq!(m.rdma_verb("read"), (6, 704));
         assert_eq!(m.rdma_verb("write"), (2, 128));
         assert_eq!(m.rdma_total(), (8, 832));
