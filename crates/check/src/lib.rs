@@ -1,7 +1,7 @@
 //! dlsm-check: concurrency correctness tooling for the dLSM reproduction.
 //!
 //! Two independent halves, both dependency-free in the spirit of
-//! `crates/telemetry` and `crates/trace`:
+//! `crates/trace`:
 //!
 //! * **Model checker** ([`Checker`] + [`shim`]): a loom-style deterministic
 //!   scheduler that exhaustively explores thread interleavings of small

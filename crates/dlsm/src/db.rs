@@ -94,6 +94,23 @@ pub(crate) struct LiveState {
 }
 
 impl Shared {
+    /// The telemetry snapshot with every [`DbStats`] counter and, given the
+    /// cache's snapshot, every cache counter merged in: the one counter set
+    /// behind [`Db::telemetry_snapshot`] and `/metrics`.
+    pub(crate) fn counter_snapshot(
+        &self,
+        cache: Option<&dlsm_cache::CacheStatsSnapshot>,
+    ) -> dlsm_telemetry::TelemetrySnapshot {
+        let mut s = self.telemetry.snapshot();
+        for (name, v) in self.stats.snapshot().named_counters() {
+            s.set_counter(name, v);
+        }
+        for (name, v) in cache.map(crate::named_cache_counters).unwrap_or_default() {
+            s.set_counter(name, v);
+        }
+        s
+    }
+
     pub(crate) fn live_state(&self) -> LiveState {
         // ORDERING: relaxed — gauge snapshot; a slightly stale seq only skews the headroom gauge.
         let next_seq = self.seq.load(Ordering::Relaxed);
@@ -639,16 +656,7 @@ impl Db {
     /// [`crate::telemetry::verb_traffic`], so merging shard snapshots never
     /// double-counts shared fabric counters.
     pub fn telemetry_snapshot(&self) -> dlsm_telemetry::TelemetrySnapshot {
-        let mut s = self.shared.telemetry.snapshot();
-        for (name, v) in self.shared.stats.snapshot().named_counters() {
-            s.set_counter(name, v);
-        }
-        if let Some(cs) = self.cache_stats() {
-            for (name, v) in crate::named_cache_counters(&cs) {
-                s.set_counter(name, v);
-            }
-        }
-        s
+        self.shared.counter_snapshot(self.cache_stats().as_ref())
     }
 
     /// Read-cache counters and occupancy, if the cache is enabled.

@@ -649,7 +649,7 @@ fn deliver_compact_reply(
 }
 
 fn dispatcher_loop(ctx: DispatchCtx) {
-    dlsm_trace::set_thread_node(u64::from(ctx.node.id().0) + 1, "memnode");
+    dlsm_trace::set_thread_node(u64::from(ctx.node.id().0) + 1);
     // Profiler task root: idle recv waits attribute to the dispatcher.
     let _task = dlsm_trace::profile_span("memnode_dispatcher");
     let mut qps: HashMap<NodeId, QueuePair> = HashMap::new();
@@ -808,7 +808,7 @@ struct WorkerCtx {
 }
 
 fn worker_loop(ctx: WorkerCtx) {
-    dlsm_trace::set_thread_node(u64::from(ctx.node_id.0) + 1, "memnode");
+    dlsm_trace::set_thread_node(u64::from(ctx.node_id.0) + 1);
     // Profiler task root: near-data compaction workers.
     let _task = dlsm_trace::profile_span("memnode_compactor");
     let mut qps: HashMap<NodeId, QueuePair> = HashMap::new();

@@ -87,7 +87,7 @@ proptest! {
             }
             let barrier = &barrier;
             scope.spawn(move || {
-                dlsm_trace::set_thread_node(2, "memnode");
+                dlsm_trace::set_thread_node(2);
                 barrier.wait();
                 let ctx = ctx_rx.recv().expect("client ctx");
                 let _sp = dlsm_trace::span_child_of(Category::Server, "prop_dispatch", ctx);

@@ -20,8 +20,9 @@
 //!   `GET /metrics`; bind to port 0 and read the real port back from
 //!   [`MetricsServer::local_addr`].
 //!
-//! Like `dlsm-telemetry`, this crate depends on nothing but `std` (plus
-//! `dlsm-telemetry` itself), so every layer of the workspace can use it.
+//! This crate depends on nothing but `std` and `dlsm-telemetry` (which
+//! itself only adds `dlsm-trace`), so every layer of the workspace can use
+//! it.
 
 pub mod expo;
 mod http;

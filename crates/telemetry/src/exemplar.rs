@@ -4,17 +4,15 @@
 //! A percentile alone says *how slow*; an exemplar pins the number to a
 //! concrete op so `p999` in the bench JSON resolves to a complete trace in
 //! the slowest-traces cut. One [`ExemplarStore`] sits next to a
-//! [`Histogram`](crate::Histogram): per bucket, a 4-word seqlock slot
-//! (`[version, value_ns, trace_id, seq]`). Recorders are *try-lock*
-//! writers — a slot mid-claim is simply skipped (the exemplar is "a recent
-//! sample", not an exact one), so the hot path never blocks and never
-//! spins: one load, one CAS, three stores on success.
+//! [`Histogram`](crate::Histogram): per bucket, one
+//! [`SeqSlot`] of `[value_ns, trace_id, seq]`. Recorders publish with
+//! `SeqSlot::try_write` — a slot mid-claim is simply skipped (the exemplar
+//! is "a recent sample", not an exact one), so the hot path never blocks
+//! and never spins: one load, one CAS, three stores on success.
 
 use crate::hist::{bucket_floor, bucket_index, bucket_max, BUCKETS};
-use crate::sync::{fence, AtomicU64, Ordering};
-
-/// Words per bucket slot: `[version, value_ns, trace_id, seq]`.
-const SLOT_WORDS: usize = 4;
+use crate::sync::{AtomicU64, Ordering};
+use dlsm_trace::SeqSlot;
 
 /// One captured exemplar: a recent sample that landed in `bucket`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +43,7 @@ impl Exemplar {
 /// Per-bucket latest-exemplar slots for one histogram. Multi-writer
 /// (try-lock seqlock per slot), any-reader.
 pub struct ExemplarStore {
-    slots: Box<[[AtomicU64; SLOT_WORDS]]>,
+    slots: Box<[SeqSlot<3>]>,
     next_seq: AtomicU64,
 }
 
@@ -65,71 +63,32 @@ impl std::fmt::Debug for ExemplarStore {
 impl ExemplarStore {
     pub fn new() -> ExemplarStore {
         ExemplarStore {
-            slots: (0..BUCKETS)
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect(),
+            slots: (0..BUCKETS).map(|_| SeqSlot::new()).collect(),
             next_seq: AtomicU64::new(0),
         }
     }
 
     /// Try to install `(value_ns, trace_id)` as its bucket's exemplar.
     /// Lossy by design: if another recorder holds the slot the sample is
-    /// dropped. A `trace_id` of 0 (no trace open) is ignored.
-    pub fn record(&self, value_ns: u64, trace_id: u64) {
-        if trace_id == 0 {
-            return;
-        }
-        let w = &self.slots[bucket_index(value_ns)];
-        // ORDERING: relaxed — the claim CAS below is the synchronization
-        // point; this load only seeds it.
-        let v = w[0].load(Ordering::Relaxed);
-        if v % 2 == 1 {
-            return; // another recorder mid-write: drop, don't spin
-        }
-        // ORDERING: relaxed CAS — claim only (mutual exclusion among
-        // writers); the Release fence below orders the odd version before
-        // the payload stores, exactly the ring/stack seqlock discipline.
-        if w[0].compare_exchange(v, v + 1, Ordering::Relaxed, Ordering::Relaxed).is_err() {
-            return;
-        }
-        fence(Ordering::Release);
-        // ORDERING: relaxed — seq claim; uniqueness/monotonicity only.
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        // ORDERING: relaxed payload stores — ordered after the odd version
-        // by the fence above, published by the Release store of the even
-        // version below; readers recheck the version word.
-        w[1].store(value_ns, Ordering::Relaxed);
-        // ORDERING: relaxed — seqlock payload; see above.
-        w[2].store(trace_id, Ordering::Relaxed);
-        // ORDERING: relaxed — same seqlock payload protocol as above.
-        w[3].store(seq, Ordering::Relaxed);
-        w[0].store(v + 2, Ordering::Release); // even: published
+    /// dropped. A `trace_id` of 0 (no trace open) is ignored. Returns
+    /// whether the sample was installed.
+    pub fn record(&self, value_ns: u64, trace_id: u64) -> bool {
+        trace_id != 0
+            && self.slots[bucket_index(value_ns)].try_write(|w| {
+                // ORDERING: relaxed — seq claim under the slot's claim;
+                // uniqueness/monotonicity only.
+                let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
+                w.set(0, &[value_ns, trace_id, seq]);
+            })
     }
 
-    /// Seqlock read of one bucket slot; `None` if never written or torn.
-    fn read(&self, bucket: usize) -> Option<Exemplar> {
-        let w = &self.slots[bucket];
-        for _ in 0..4 {
-            let v1 = w[0].load(Ordering::Acquire);
-            if v1 == 0 {
-                return None;
-            }
-            if v1 % 2 == 1 {
-                continue;
-            }
-            // ORDERING: relaxed copies — the Acquire fence below plus the
-            // version recheck discard any torn combination.
-            let value_ns = w[1].load(Ordering::Relaxed);
-            let trace_id = w[2].load(Ordering::Relaxed);
-            // ORDERING: relaxed — see the copy comment above.
-            let seq = w[3].load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            // ORDERING: relaxed — ordered after the copies by the fence.
-            if w[0].load(Ordering::Relaxed) == v1 {
-                return Some(Exemplar { bucket, value_ns, trace_id, seq });
-            }
-        }
-        None
+    /// The exemplar of one bucket; `None` if never written or torn on
+    /// every retry.
+    pub fn read(&self, bucket: usize) -> Option<Exemplar> {
+        (0..4).find_map(|_| {
+            let [value_ns, trace_id, seq] = self.slots[bucket].read(|w| w.get_all())?;
+            Some(Exemplar { bucket, value_ns, trace_id, seq })
+        })
     }
 
     /// Every captured exemplar, ascending by bucket.

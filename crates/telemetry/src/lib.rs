@@ -11,7 +11,8 @@
 //!   histograms, named breakdown histograms, named counters and per-verb
 //!   RDMA traffic, serialized by [`JsonWriter`] (no external deps).
 //!
-//! This crate depends on nothing but `std`, so every layer — `rdma-sim`
+//! Its one dependency is the dependency-free `dlsm-trace`, whose `SeqSlot`
+//! seqlock backs the exemplar slots, so every layer — `rdma-sim`
 //! consumers, `dlsm`, `memnode`, `bench`, `chaos` — can use it freely.
 
 mod exemplar;
@@ -136,7 +137,7 @@ impl OpHistograms {
 
 /// Per-verb RDMA traffic in a snapshot, in the shape the JSON emits.
 /// `rdma-sim`'s own `StatsSnapshot` converts into a `Vec` of these; the
-/// indirection keeps this crate dependency-free.
+/// indirection keeps this crate off `rdma-sim`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerbTraffic {
     /// Verb name, lower-case (`"read"`, `"write"`, `"send"`, ...).

@@ -4,7 +4,7 @@
 //! The shim passes through to std outside a model execution.
 
 #[cfg(feature = "shim")]
-pub(crate) use dlsm_check::shim::{fence, AtomicU64, Ordering};
+pub(crate) use dlsm_check::shim::{AtomicU64, Ordering};
 
 #[cfg(not(feature = "shim"))]
-pub(crate) use std::sync::atomic::{fence, AtomicU64, Ordering};
+pub(crate) use std::sync::atomic::{AtomicU64, Ordering};

@@ -9,20 +9,20 @@
 //! per-slot seqlock only has to defend readers against a post still in
 //! flight — the overwrite races the trace ring must survive cannot occur.
 //!
-//! Each record is seven words: `[version, ts_us, trace_id, kind, arg0,
-//! arg1, tid]`. The version word is the per-slot seqlock (1 = write in
-//! progress, 2 = published); `ts_us` is [`dlsm_trace::now_us`] at post
-//! time and `trace_id` the poster's active trace (0 when none), so
-//! journal rows join against trace dumps and exemplars.
+//! Each record is one [`SeqSlot`] of six words: `[ts_us, trace_id, kind,
+//! arg0, arg1, tid]`, published by `SeqSlot::write` (so a slot goes from
+//! version 0, never written, through 1, write in progress, to 2,
+//! published, and stays there); `ts_us` is [`dlsm_trace::now_us`] at post
+//! time and `trace_id` the poster's active trace (0 when none), so journal
+//! rows join against trace dumps and exemplars.
 
-use crate::sync::{fence, AtomicU64, Ordering};
+use crate::sync::{AtomicU64, Ordering};
+use dlsm_trace::SeqSlot;
 
 /// Slots in the default process-global journal: 64 Ki events at 56 bytes
 /// each (3.5 MiB). Engine lifecycle events are low-rate (flushes,
 /// compactions, stall episodes), so a bench run sits far below this.
 pub const JOURNAL_CAP: usize = 1 << 16;
-
-const SLOT_WORDS: usize = 7;
 
 /// A structured engine lifecycle event. Reasons use the trace arg codes
 /// ([`dlsm_trace::STALL_IMM_QUEUE`], [`dlsm_trace::STALL_L0_LIMIT`]) so
@@ -112,16 +112,6 @@ pub struct JournalRecord {
     pub event: EngineEvent,
 }
 
-struct Slot {
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot { words: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
-
 /// A fixed-capacity engine event journal. See the module docs for the
 /// slot protocol; [`crate::post`] feeds the process-global instance.
 pub struct Journal {
@@ -129,7 +119,7 @@ pub struct Journal {
     attempts: AtomicU64,
     /// Posts rejected because every slot was already claimed.
     drops: AtomicU64,
-    slots: Box<[Slot]>,
+    slots: Box<[SeqSlot<6>]>,
 }
 
 impl Journal {
@@ -139,7 +129,7 @@ impl Journal {
         Journal {
             attempts: AtomicU64::new(0),
             drops: AtomicU64::new(0),
-            slots: (0..cap).map(|_| Slot::new()).collect(),
+            slots: (0..cap).map(|_| SeqSlot::new()).collect(),
         }
     }
 
@@ -161,51 +151,20 @@ impl Journal {
             return false;
         }
         let (kind, arg0, arg1) = event.encode();
-        let w = &self.slots[ticket as usize].words;
-        // ORDERING: relaxed — sole writer of this slot; the Release fence
-        // below orders the odd-version store before the payload stores.
-        w[0].store(1, Ordering::Relaxed); // odd: write in progress
-        fence(Ordering::Release);
-        // ORDERING: relaxed payload stores — ordered after the odd version
-        // by the Release fence above and published by the Release store of
-        // the even version below; readers recheck the version word.
-        w[1].store(ts_us, Ordering::Relaxed);
-        // ORDERING: relaxed — seqlock payload, as above.
-        w[2].store(trace_id, Ordering::Relaxed);
-        w[3].store(kind, Ordering::Relaxed);
-        // ORDERING: relaxed — same seqlock payload protocol as above.
-        w[4].store(arg0, Ordering::Relaxed);
-        w[5].store(arg1, Ordering::Relaxed);
-        // ORDERING: relaxed — same seqlock payload protocol as above.
-        w[6].store(tid, Ordering::Relaxed);
-        w[0].store(2, Ordering::Release); // even: published
+        self.slots[ticket as usize].write(|w| w.set(0, &[ts_us, trace_id, kind, arg0, arg1, tid]));
         true
     }
 
-    /// Seqlock read of one slot; `None` when unwritten, mid-post, or the
+    /// One read of one slot; `None` when unwritten, mid-post, or the
     /// version recheck failed (torn — rejected, never returned).
     pub fn read(&self, idx: usize) -> Option<JournalRecord> {
-        let w = &self.slots.get(idx)?.words;
-        let v1 = w[0].load(Ordering::Acquire);
-        if v1 != 2 {
-            return None;
-        }
-        // ORDERING: relaxed copies — the Acquire fence below plus the
-        // version recheck discard any torn combination, so the loads
-        // themselves need no ordering.
-        let copy: [u64; SLOT_WORDS] = std::array::from_fn(|i| w[i].load(Ordering::Relaxed));
-        fence(Ordering::Acquire);
-        // ORDERING: relaxed — ordered after the copies by the fence above.
-        if w[0].load(Ordering::Relaxed) != v1 {
-            return None;
-        }
-        let event = EngineEvent::decode(copy[3], copy[4], copy[5])?;
+        let [ts_us, trace_id, kind, arg0, arg1, tid] = self.slots.get(idx)?.read(|w| w.get_all())?;
         Some(JournalRecord {
             seq: idx as u64,
-            ts_us: copy[1],
-            trace_id: copy[2],
-            tid: copy[6],
-            event,
+            ts_us,
+            trace_id,
+            tid,
+            event: EngineEvent::decode(kind, arg0, arg1)?,
         })
     }
 

@@ -225,13 +225,12 @@ pub fn write_timeline_json(
     w.finish()
 }
 
-/// Bare-handle twins of the journal for the model checker (crates/check).
+/// A bare handle on the journal for the model checker (crates/check).
 /// Only compiled under the `shim` feature so the checker can intercept the
 /// atomics; pass-through outside a model execution.
 #[cfg(feature = "shim")]
 pub mod model {
     use crate::journal::{EngineEvent, Journal, JournalRecord};
-    use crate::sync::{AtomicU64, Ordering};
 
     /// The real journal behind a model-friendly handle: `&'static` borrows
     /// via leak, tiny capacities, no globals.
@@ -269,62 +268,6 @@ pub mod model {
         /// Dropped posts.
         pub fn drops(&self) -> u64 {
             self.inner.drops()
-        }
-    }
-
-    /// Straw-man twin with a deliberately broken publish protocol: it
-    /// stores the *even* (published) version first, then the payload, with
-    /// no fences — so a concurrent reader following the real seqlock read
-    /// protocol can observe `version == 2` over a half-written payload.
-    /// The model suite requires the checker to catch this; if it ever
-    /// stops failing, the harness has lost its teeth.
-    pub struct StrawSlot {
-        version: AtomicU64,
-        a: AtomicU64,
-        b: AtomicU64,
-    }
-
-    impl Default for StrawSlot {
-        fn default() -> StrawSlot {
-            StrawSlot::new()
-        }
-    }
-
-    impl StrawSlot {
-        pub fn new() -> StrawSlot {
-            StrawSlot {
-                version: AtomicU64::new(0),
-                a: AtomicU64::new(0),
-                b: AtomicU64::new(0),
-            }
-        }
-
-        /// Broken writer: publishes before writing. Invariant promised to
-        /// readers: `b == a + 1`.
-        pub fn write_broken(&self, x: u64) {
-            // ORDERING: relaxed — deliberately wrong: the published
-            // version lands before the payload with nothing ordering them.
-            self.version.store(2, Ordering::Relaxed);
-            self.a.store(x, Ordering::Relaxed);
-            // ORDERING: relaxed — second half of the deliberately broken payload.
-            self.b.store(x + 1, Ordering::Relaxed);
-        }
-
-        /// The *real* seqlock read protocol, same as [`Journal::read`].
-        pub fn read(&self) -> Option<(u64, u64)> {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 != 2 {
-                return None;
-            }
-            // ORDERING: relaxed copies — same protocol as the real ring.
-            let a = self.a.load(Ordering::Relaxed);
-            let b = self.b.load(Ordering::Relaxed);
-            crate::sync::fence(Ordering::Acquire);
-            // ORDERING: relaxed — ordered after the copies by the fence.
-            if self.version.load(Ordering::Relaxed) != v1 {
-                return None;
-            }
-            Some((a, b))
         }
     }
 }

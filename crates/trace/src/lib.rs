@@ -9,8 +9,8 @@
 //! Design (DESIGN.md §8a):
 //!
 //! * **Per-thread ring buffers.** Each traced thread owns a fixed ring of
-//!   [`RING_CAP`] slots; a finished span (or instant) is one seqlock-guarded
-//!   write of ten `AtomicU64` words. Memory is bounded, the oldest events
+//!   [`RING_CAP`] slots; a finished span (or instant) is one [`SeqSlot`]
+//!   write of nine payload words. Memory is bounded, the oldest events
 //!   are overwritten, and nothing is allocated on the hot path. With
 //!   tracing disabled every probe is one `Relaxed` load and a branch.
 //! * **Causality.** Spans on one thread nest by a thread-local stack;
@@ -25,13 +25,15 @@
 //! The crate depends on nothing but `std` and is always compiled in;
 //! "tracing off" is a runtime state, not a cargo feature.
 
+mod seqlock;
 mod sync;
 
 pub mod stack;
 
+pub use seqlock::{SeqSlot, SeqWords};
 pub use stack::{sample_stacks, StackFrame, StacksSample, ThreadStack, STACK_CAP};
 
-use crate::sync::{fence, AtomicU64, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -232,18 +234,17 @@ impl Event {
 // Ring storage (seqlock slots) + registry
 // ---------------------------------------------------------------------------
 
-const SLOT_WORDS: usize = 10;
+/// One record: `[ts, dur, name_ptr, name_len, meta, trace, span, parent,
+/// arg]` behind a [`SeqSlot`]; `meta` packs `kind << 8 | category`.
+type Slot = SeqSlot<9>;
 
-/// One record: `[version, ts, dur, name_ptr, name_len, meta, trace, span,
-/// parent, arg]`. The version word is the per-slot seqlock (odd = write in
-/// progress); `meta` packs `kind << 8 | category`.
-struct Slot {
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot { words: std::array::from_fn(|_| AtomicU64::new(0)) }
+/// The node label of a logical node id: 0 is the compute node, every
+/// other id (memory node *n* is id *n*+1) a memory node.
+fn node_label(node_id: u64) -> &'static str {
+    if node_id == 0 {
+        "compute"
+    } else {
+        "memnode"
     }
 }
 
@@ -252,24 +253,20 @@ struct RingShared {
     /// Total records ever written; slot index = head % RING_CAP.
     head: AtomicU64,
     node_id: AtomicU64,
-    node_label_ptr: AtomicU64,
-    node_label_len: AtomicU64,
     slots: Box<[Slot]>,
 }
 
 impl RingShared {
-    fn new(tid: u64, node_id: u64, node_label: &'static str) -> RingShared {
+    fn new(tid: u64, node_id: u64) -> RingShared {
         RingShared {
             tid,
             head: AtomicU64::new(0),
             node_id: AtomicU64::new(node_id),
-            node_label_ptr: AtomicU64::new(node_label.as_ptr() as u64),
-            node_label_len: AtomicU64::new(node_label.len() as u64),
             slots: (0..RING_CAP).map(|_| Slot::new()).collect(),
         }
     }
 
-    /// Single-writer (the owning thread) seqlock publish of one record.
+    /// Single-writer (the owning thread) publish of one record.
     #[allow(clippy::too_many_arguments)]
     fn write(
         &self,
@@ -284,86 +281,46 @@ impl RingShared {
         arg: u64,
     ) {
         // ORDERING: relaxed — single writer (the owning thread) claims
-        // slots; the seqlock version word below orders the payload.
+        // slots; the slot's seqlock orders the payload.
         let idx = (self.head.fetch_add(1, Ordering::Relaxed) as usize) % RING_CAP;
-        let w = &self.slots[idx].words;
-        // ORDERING: relaxed — own slot, single writer; the Release fence
-        // below orders the odd-version store before the payload stores.
-        let v = w[0].load(Ordering::Relaxed);
-        w[0].store(v + 1, Ordering::Relaxed); // odd: write in progress
-        fence(Ordering::Release);
-        // ORDERING: relaxed payload stores — ordered after the odd version
-        // by the Release fence above and published by the Release store of
-        // the even version below; readers recheck the version word.
-        w[1].store(ts_us, Ordering::Relaxed);
-        // ORDERING: relaxed — seqlock payload, as above.
-        w[2].store(dur_us, Ordering::Relaxed);
-        w[3].store(name.as_ptr() as u64, Ordering::Relaxed);
-        w[4].store(name.len() as u64, Ordering::Relaxed);
-        let kind_bits = match kind {
-            EventKind::Span => 0u64,
-            EventKind::Instant => 1u64,
-        };
-        // ORDERING: relaxed — same seqlock payload protocol as above.
-        w[5].store(kind_bits << 8 | cat as u64, Ordering::Relaxed);
-        w[6].store(trace_id, Ordering::Relaxed);
-        w[7].store(span_id, Ordering::Relaxed);
-        // ORDERING: relaxed — same seqlock payload protocol as above.
-        w[8].store(parent_id, Ordering::Relaxed);
-        w[9].store(arg, Ordering::Relaxed);
-        w[0].store(v + 2, Ordering::Release); // even: published
+        let meta = u64::from(kind == EventKind::Instant) << 8 | cat as u64;
+        let (name_ptr, name_len) = (name.as_ptr() as u64, name.len() as u64);
+        let payload = [ts_us, dur_us, name_ptr, name_len, meta, trace_id, span_id, parent_id, arg];
+        self.slots[idx].write(|w| w.set(0, &payload));
     }
 
-    /// Seqlock read of one slot; `None` if empty, torn, or mid-write.
+    /// One read of one slot; `None` if empty, torn, or mid-write.
     fn read(&self, idx: usize) -> Option<Event> {
-        let w = &self.slots[idx].words;
-        let v1 = w[0].load(Ordering::Acquire);
-        if v1 == 0 || v1 % 2 == 1 {
-            return None;
-        }
-        // ORDERING: relaxed copies — the Acquire fence below plus the
-        // version recheck discard any torn combination, so the loads
-        // themselves need no ordering.
-        let copy: [u64; SLOT_WORDS] = std::array::from_fn(|i| w[i].load(Ordering::Relaxed));
-        fence(Ordering::Acquire);
-        // ORDERING: relaxed — ordered after the copies by the fence above.
-        if w[0].load(Ordering::Relaxed) != v1 {
-            return None;
-        }
-        // SAFETY: validated even version ⇒ name ptr/len are a pair some
-        // writer stored together, and writers only ever store
-        // `&'static str`s; same for the node label below.
-        let name = unsafe { static_str(copy[3], copy[4]) };
-        let node_label = unsafe {
-            static_str(
-                self.node_label_ptr.load(Ordering::Acquire),
-                self.node_label_len.load(Ordering::Acquire),
-            )
-        };
+        let w = self.slots[idx].read(|w| w.get_all())?;
+        // SAFETY: a validated read returns a name ptr/len pair some writer
+        // stored together, and writers only ever store `&'static str`s.
+        let name = unsafe { static_str(w[2], w[3]) };
+        // ORDERING: relaxed — the id is a plain integer; the label is
+        // derived from it, so the two always agree.
+        let node_id = self.node_id.load(Ordering::Relaxed);
         Some(Event {
-            // ORDERING: relaxed — the id is a plain label; the ptr/len pair
-            // above carries the pointer publication (Acquire).
-            node_id: self.node_id.load(Ordering::Relaxed),
-            node_label,
+            node_id,
+            node_label: node_label(node_id),
             tid: self.tid,
-            kind: if copy[5] >> 8 == 1 { EventKind::Instant } else { EventKind::Span },
-            cat: Category::from_u8((copy[5] & 0xff) as u8),
+            kind: if w[4] >> 8 == 1 { EventKind::Instant } else { EventKind::Span },
+            cat: Category::from_u8((w[4] & 0xff) as u8),
             name,
-            ts_us: copy[1],
-            dur_us: copy[2],
-            trace_id: copy[6],
-            span_id: copy[7],
-            parent_id: copy[8],
-            arg: copy[9],
+            ts_us: w[0],
+            dur_us: w[1],
+            trace_id: w[5],
+            span_id: w[6],
+            parent_id: w[7],
+            arg: w[8],
         })
     }
 }
 
-/// Reconstruct a `&'static str` stored by a ring writer as (ptr, len).
+/// Reconstruct a `&'static str` stored by a ring or stack writer as
+/// (ptr, len).
 ///
 /// # Safety
-/// The pair must come from a seqlock-validated slot (or the ring's node
-/// label words), which only ever hold pointers into `'static` strings.
+/// The pair must come from a validated [`SeqSlot`] read of words that only
+/// ever hold pointers into `'static` strings.
 pub(crate) unsafe fn static_str(ptr: u64, len: u64) -> &'static str {
     if len == 0 {
         return "";
@@ -372,35 +329,13 @@ pub(crate) unsafe fn static_str(ptr: u64, len: u64) -> &'static str {
 }
 
 /// Model-checker hooks (only with the `shim` feature): a bare handle on the
-/// real seqlock ring so the model tests in crates/check can drive
-/// `RingShared::write`/`read` directly, without the thread-local recorder,
-/// the global registry, or wall clocks (all of which would make schedule
-/// replay nondeterministic).
+/// real live span stack, so the model tests in crates/check can drive its
+/// push/pop/sample protocol without the thread-local recorder, the global
+/// registry, or wall clocks (all of which would make schedule replay
+/// nondeterministic).
 #[cfg(feature = "shim")]
 pub mod model {
-    use super::{Category, EventKind, RingShared};
-
-    /// A real [`RingShared`] detached from the registry.
-    pub struct ModelRing(RingShared);
-
-    impl ModelRing {
-        #[allow(clippy::new_without_default)]
-        pub fn new() -> ModelRing {
-            ModelRing(RingShared::new(1, 0, "model"))
-        }
-
-        /// One seqlock record publish (the owning-writer path): stores
-        /// `ts`/`dur`/`arg` through the real `RingShared::write`.
-        pub fn write(&self, ts: u64, dur: u64, arg: u64) {
-            self.0.write(EventKind::Instant, Category::Db, "model", ts, dur, ts, ts, 0, arg)
-        }
-
-        /// One seqlock read of `slot`; `None` when empty, mid-write, or the
-        /// version recheck failed. Returns `(ts, dur, arg)`.
-        pub fn read(&self, slot: usize) -> Option<(u64, u64, u64)> {
-            self.0.read(slot).map(|e| (e.ts_us, e.dur_us, e.arg))
-        }
-    }
+    use super::Category;
 
     /// A real [`LiveStackShared`](crate::stack) detached from the registry,
     /// so the model tests can drive the profiler's seqlock push/pop/sample
@@ -410,7 +345,7 @@ pub mod model {
     impl ModelStack {
         #[allow(clippy::new_without_default)]
         pub fn new() -> ModelStack {
-            ModelStack(crate::stack::LiveStackShared::new(1, 0, "model"))
+            ModelStack(crate::stack::LiveStackShared::new(1, 0))
         }
 
         /// Owner-side seqlock push of one frame carrying `arg`.
@@ -427,10 +362,7 @@ pub mod model {
         /// version recheck failed (torn — rejected, never returned);
         /// otherwise the sampled frames' args, outermost first.
         pub fn try_sample(&self) -> Option<Vec<u64>> {
-            self.0
-                .sample_once()
-                .ok()
-                .map(|(frames, _)| frames.into_iter().map(|f| f.arg).collect())
+            self.0.sample_once().map(|(frames, _)| frames.into_iter().map(|f| f.arg).collect())
         }
     }
 }
@@ -451,7 +383,6 @@ struct RecState {
     /// This thread's live span stack, published to the profiler's sampler.
     live: Option<Arc<stack::LiveStackShared>>,
     node_id: u64,
-    node_label: &'static str,
     /// Open span ids, innermost last.
     stack: Vec<u64>,
     /// Trace id of the tree currently being built on this thread.
@@ -468,7 +399,6 @@ impl RecState {
             ring: None,
             live: None,
             node_id: 0,
-            node_label: "compute",
             stack: Vec::new(),
             trace_id: 0,
             last_root_trace: 0,
@@ -483,7 +413,7 @@ impl RecState {
                 // ORDERING: relaxed — tid generation; uniqueness only.
                 self.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
             }
-            let ring = Arc::new(RingShared::new(self.tid, self.node_id, self.node_label));
+            let ring = Arc::new(RingShared::new(self.tid, self.node_id));
             // PANIC-SAFE: registry mutex is only ever locked for push/iterate;
             // poisoning means a panic is already unwinding this process.
             registry().lock().unwrap().push(ring.clone());
@@ -499,8 +429,7 @@ impl RecState {
                 // ORDERING: relaxed — tid generation; uniqueness only.
                 self.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
             }
-            let live =
-                Arc::new(stack::LiveStackShared::new(self.tid, self.node_id, self.node_label));
+            let live = Arc::new(stack::LiveStackShared::new(self.tid, self.node_id));
             stack::stack_registry().lock().unwrap_or_else(|e| e.into_inner()).push(live.clone());
             self.live = Some(live);
         }
@@ -533,29 +462,20 @@ thread_local! {
     static REC: RefCell<RecState> = const { RefCell::new(RecState::new()) };
 }
 
-/// Label the calling thread's events with a logical node. Convention:
-/// compute node = id 0 `"compute"`, memory node *n* = id *n*+1
-/// `"memnode"`. Cheap; callable before tracing is enabled (server threads
-/// set it once at startup).
-pub fn set_thread_node(node_id: u64, node_label: &'static str) {
+/// Label the calling thread's events and stack samples with a logical
+/// node: compute node = id 0, memory node *n* = id *n*+1. The label
+/// ("compute" / "memnode") is derived from the id. Cheap; callable before
+/// tracing is enabled and again at any time.
+pub fn set_thread_node(node_id: u64) {
     REC.with(|rec| {
         let mut rec = rec.borrow_mut();
         rec.node_id = node_id;
-        rec.node_label = node_label;
         if let Some(ring) = &rec.ring {
-            // Release (upgraded from relaxed): these words publish a
-            // pointer the collector dereferences, so the string bytes must
-            // be visible before the ptr/len are. The ptr/len words are only
-            // a consistent pair because labeling happens once, at thread
-            // startup, before any collector can run — re-labeling a live
-            // ring could still tear the pair and is not supported.
             // ORDERING: relaxed — node_id is a plain integer label.
             ring.node_id.store(node_id, Ordering::Relaxed);
-            ring.node_label_ptr.store(node_label.as_ptr() as u64, Ordering::Release);
-            ring.node_label_len.store(node_label.len() as u64, Ordering::Release);
         }
         if let Some(live) = &rec.live {
-            live.set_node(node_id, node_label);
+            live.set_node(node_id);
         }
     });
 }
@@ -809,9 +729,7 @@ pub fn collect_events() -> Vec<Event> {
 pub fn clear() {
     let rings: Vec<Arc<RingShared>> = registry().lock().unwrap().clone();
     for ring in rings {
-        for slot in ring.slots.iter() {
-            slot.words[0].store(0, Ordering::Release);
-        }
+        ring.slots.iter().for_each(Slot::clear);
     }
 }
 
@@ -1363,6 +1281,39 @@ mod tests {
             "pops past the cap rebalanced the stack"
         );
         set_profiling(false);
+    }
+
+    #[test]
+    fn relabeling_a_live_thread_reports_the_new_node() {
+        let _g = test_lock();
+        set_enabled(true);
+        set_profiling(true);
+        clear();
+        std::thread::spawn(|| {
+            // Ring and live stack both exist before the relabel.
+            instant(Category::Db, "t_relabel_before", 0);
+            let _task = profile_span("t_relabel_task");
+            for (node_id, label) in [(3, "memnode"), (0, "compute")] {
+                set_thread_node(node_id);
+                instant(Category::Db, "t_relabel_after", node_id);
+                let events = collect_events();
+                let mine: Vec<&Event> =
+                    events.iter().filter(|e| e.name.starts_with("t_relabel")).collect();
+                assert!(mine.len() >= 2);
+                assert!(mine.iter().all(|e| e.node_id == node_id && e.node_label == label));
+                let sample = sample_stacks();
+                let stack = sample
+                    .stacks
+                    .iter()
+                    .find(|s| s.frames.iter().any(|f| f.name == "t_relabel_task"))
+                    .expect("own stack sampled");
+                assert_eq!((stack.node_id, stack.node_label), (node_id, label));
+            }
+        })
+        .join()
+        .unwrap();
+        set_profiling(false);
+        set_enabled(false);
     }
 
     #[test]

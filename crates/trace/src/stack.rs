@@ -1,17 +1,17 @@
 //! Live span-stack publication for the continuous profiler (DESIGN.md §12).
 //!
-//! Every profiled thread owns one [`LiveStackShared`]: a fixed array of
-//! [`STACK_CAP`] frames plus a depth word, guarded by a single seqlock
-//! version word. The owning thread is the only writer — a span open/close
-//! is a handful of `Relaxed` stores bracketed by the version bump, exactly
-//! the discipline the trace rings use — and the profiler's sampler thread
-//! reads with the usual acquire/recheck dance, rejecting (and counting)
+//! Every profiled thread owns one [`LiveStackShared`]: a depth word and a
+//! fixed array of [`STACK_CAP`] frames in one [`SeqSlot`]. The owning
+//! thread is the only writer — a span open/close is one `SeqSlot::write`
+//! that stores the new frame (on push) and the depth — and the profiler's
+//! sampler thread reads with `SeqSlot::read`, rejecting (and counting)
 //! torn snapshots instead of ever blocking the mutatee.
 //!
 //! With profiling disabled a probe never touches this module; with it
-//! enabled the cost per span is ~6 relaxed stores and two fences.
+//! enabled the cost per span is a handful of relaxed stores and one fence.
 
-use crate::sync::{fence, AtomicU64, Ordering};
+use crate::seqlock::SeqSlot;
+use crate::sync::{AtomicU64, Ordering};
 use crate::Category;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -24,6 +24,10 @@ pub const STACK_CAP: usize = 32;
 /// `category | arg << 8`.
 const FRAME_WORDS: usize = 3;
 
+/// Slot layout: word 0 is the true open-frame count (may exceed
+/// [`STACK_CAP`]); frame `i` starts at word `1 + i * FRAME_WORDS`.
+const STACK_WORDS: usize = 1 + STACK_CAP * FRAME_WORDS;
+
 pub(crate) struct LiveStackShared {
     tid: u64,
     /// 1 while the owning thread is alive; 0 once its thread-locals ran
@@ -31,37 +35,26 @@ pub(crate) struct LiveStackShared {
     /// longer accumulate wall-time).
     alive: AtomicU64,
     node_id: AtomicU64,
-    node_label_ptr: AtomicU64,
-    node_label_len: AtomicU64,
-    /// Seqlock version word: odd = the owner is mutating the stack.
-    version: AtomicU64,
-    /// True open-frame count (may exceed [`STACK_CAP`]).
-    depth: AtomicU64,
-    frames: [[AtomicU64; FRAME_WORDS]; STACK_CAP],
+    slot: SeqSlot<STACK_WORDS>,
 }
 
 impl LiveStackShared {
-    pub(crate) fn new(tid: u64, node_id: u64, node_label: &'static str) -> LiveStackShared {
-        LiveStackShared {
+    /// Built by the owning thread, which publishes depth 0 once so a
+    /// sampler reads a fresh stack as empty, not as never written.
+    pub(crate) fn new(tid: u64, node_id: u64) -> LiveStackShared {
+        let s = LiveStackShared {
             tid,
             alive: AtomicU64::new(1),
             node_id: AtomicU64::new(node_id),
-            node_label_ptr: AtomicU64::new(node_label.as_ptr() as u64),
-            node_label_len: AtomicU64::new(node_label.len() as u64),
-            version: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            frames: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-        }
+            slot: SeqSlot::new(),
+        };
+        s.slot.write(|w| w.set(0, &[0]));
+        s
     }
 
-    pub(crate) fn set_node(&self, node_id: u64, node_label: &'static str) {
-        // The ptr/len pair is Release for the same reason as the ring
-        // labels (the collector dereferences it) and is only consistent
-        // because nodes are labeled once, at thread startup.
+    pub(crate) fn set_node(&self, node_id: u64) {
         // ORDERING: relaxed — node_id is a plain integer label.
         self.node_id.store(node_id, Ordering::Relaxed);
-        self.node_label_ptr.store(node_label.as_ptr() as u64, Ordering::Release);
-        self.node_label_len.store(node_label.len() as u64, Ordering::Release);
     }
 
     pub(crate) fn mark_dead(&self) {
@@ -70,73 +63,40 @@ impl LiveStackShared {
         self.alive.store(0, Ordering::Release);
     }
 
-    /// Single-writer (the owning thread) seqlock push of one frame.
+    /// Single-writer (the owning thread) push of one frame.
     pub(crate) fn push(&self, name: &'static str, cat: Category, arg: u64) {
-        // ORDERING: relaxed — single writer claims the version; the Release
-        // fence below orders the odd-version store before the frame stores.
-        let v = self.version.load(Ordering::Relaxed);
-        self.version.store(v + 1, Ordering::Relaxed); // odd: mutating
-        fence(Ordering::Release);
-        // ORDERING: relaxed payload stores — ordered after the odd version
-        // by the fence above, published by the Release store of the even
-        // version below; samplers recheck the version word.
-        let d = self.depth.load(Ordering::Relaxed) as usize;
-        if d < STACK_CAP {
-            let f = &self.frames[d];
-            // ORDERING: relaxed — seqlock payload stores, as above.
-            f[0].store(name.as_ptr() as u64, Ordering::Relaxed);
-            f[1].store(name.len() as u64, Ordering::Relaxed);
-            // ORDERING: relaxed — same seqlock payload protocol as above.
-            f[2].store(cat as u64 | arg << 8, Ordering::Relaxed);
-        }
-        // ORDERING: relaxed — seqlock payload, as above.
-        self.depth.store(d as u64 + 1, Ordering::Relaxed);
-        self.version.store(v + 2, Ordering::Release); // even: published
+        self.slot.write(|w| {
+            let d = w.get(0) as usize;
+            if d < STACK_CAP {
+                let frame = [name.as_ptr() as u64, name.len() as u64, cat as u64 | arg << 8];
+                w.set(1 + d * FRAME_WORDS, &frame);
+            }
+            w.set(0, &[d as u64 + 1]);
+        })
     }
 
-    /// Single-writer seqlock pop of the innermost frame.
+    /// Single-writer pop of the innermost frame.
     pub(crate) fn pop(&self) {
-        // ORDERING: relaxed — single writer; same protocol as `push`.
-        let v = self.version.load(Ordering::Relaxed);
-        self.version.store(v + 1, Ordering::Relaxed); // odd: mutating
-        fence(Ordering::Release);
-        // ORDERING: relaxed — seqlock payload; see `push`.
-        let d = self.depth.load(Ordering::Relaxed);
-        self.depth.store(d.saturating_sub(1), Ordering::Relaxed);
-        self.version.store(v + 2, Ordering::Release); // even: published
+        self.slot.write(|w| w.set(0, &[w.get(0).saturating_sub(1)]))
     }
 
-    /// One seqlock read attempt: `Err(())` when the stack was mid-write or
-    /// the version recheck failed (torn), `Ok((frames, truncated))` on a
-    /// consistent snapshot.
-    pub(crate) fn sample_once(&self) -> Result<(Vec<StackFrame>, bool), ()> {
-        let v1 = self.version.load(Ordering::Acquire);
-        if v1 % 2 == 1 {
-            return Err(());
-        }
-        // ORDERING: relaxed copies — the Acquire fence below plus the
-        // version recheck discard any torn combination, so the loads
-        // themselves need no ordering.
-        let depth = self.depth.load(Ordering::Relaxed) as usize;
-        let stored = depth.min(STACK_CAP);
-        let copy: Vec<[u64; FRAME_WORDS]> = (0..stored)
-            .map(|i| {
-                let f = &self.frames[i];
-                // ORDERING: relaxed — see the copy comment above.
-                std::array::from_fn(|w| f[w].load(Ordering::Relaxed))
-            })
-            .collect();
-        fence(Ordering::Acquire);
-        // ORDERING: relaxed — ordered after the copies by the fence above.
-        if self.version.load(Ordering::Relaxed) != v1 {
-            return Err(());
-        }
+    /// One read attempt: `None` when the stack was mid-write or the version
+    /// recheck failed (torn), `Some((frames, truncated))` on a consistent
+    /// snapshot.
+    pub(crate) fn sample_once(&self) -> Option<(Vec<StackFrame>, bool)> {
+        let (depth, copy) = self.slot.read(|w| {
+            let depth = w.get(0) as usize;
+            let copy: Vec<[u64; FRAME_WORDS]> = (0..depth.min(STACK_CAP))
+                .map(|i| std::array::from_fn(|k| w.get(1 + i * FRAME_WORDS + k)))
+                .collect();
+            (depth, copy)
+        })?;
         let frames = copy
             .into_iter()
             .map(|w| StackFrame {
-                // SAFETY: validated even version ⇒ the ptr/len words are a
-                // pair the owning thread stored together, and pushers only
-                // ever store `&'static str`s.
+                // SAFETY: a validated read returns a ptr/len pair the owning
+                // thread stored together, and pushers only ever store
+                // `&'static str`s.
                 name: unsafe { crate::static_str(w[0], w[1]) },
                 // LOSSY: meta packs the category in the low byte by
                 // construction (`push`).
@@ -144,18 +104,13 @@ impl LiveStackShared {
                 arg: w[2] >> 8,
             })
             .collect();
-        Ok((frames, depth > STACK_CAP))
+        Some((frames, depth > STACK_CAP))
     }
 
-    /// Seqlock read with a bounded retry against concurrent mutation;
-    /// `None` when every attempt was torn.
+    /// Read with a bounded retry against concurrent mutation; `None` when
+    /// every attempt was torn.
     fn sample(&self) -> Option<(Vec<StackFrame>, bool)> {
-        for _ in 0..8 {
-            if let Ok(s) = self.sample_once() {
-                return Some(s);
-            }
-        }
-        None
+        (0..8).find_map(|_| self.sample_once())
     }
 }
 
@@ -216,19 +171,13 @@ pub fn sample_stacks() -> StacksSample {
     for s in stacks {
         match s.sample() {
             Some((frames, truncated)) => {
-                // SAFETY: labels are set once at thread startup from
-                // `&'static str`s (same contract as the ring labels).
-                let node_label = unsafe {
-                    crate::static_str(
-                        s.node_label_ptr.load(Ordering::Acquire),
-                        s.node_label_len.load(Ordering::Acquire),
-                    )
-                };
+                // ORDERING: relaxed — plain integer label; the label string
+                // is derived from it.
+                let node_id = s.node_id.load(Ordering::Relaxed);
                 out.stacks.push(ThreadStack {
                     tid: s.tid,
-                    // ORDERING: relaxed — plain integer label.
-                    node_id: s.node_id.load(Ordering::Relaxed),
-                    node_label,
+                    node_id,
+                    node_label: crate::node_label(node_id),
                     frames,
                     truncated,
                 });
